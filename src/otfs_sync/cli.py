@@ -20,6 +20,7 @@ from .metrics import (
     SweepModels,
     complexity_csv,
     complexity_report,
+    condition_rows,
     estimate_all,
     overall_row,
     rows_to_csv,
@@ -140,7 +141,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     _, test_ds = ds.split(args.train_fraction)
     models = _load_models_for(args, test_ds)
     theta_hat = estimate_all(test_ds, args.method, models, args.batch)
-    rows = sweep(test_ds, [args.method], models, batch_size=args.batch)
+    rows = condition_rows(test_ds, args.method, theta_hat)
     rows.append(overall_row(test_ds, args.method, theta_hat))
     csv_text = rows_to_csv(rows)
     if args.out:

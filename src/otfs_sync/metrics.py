@@ -114,6 +114,42 @@ def estimate_all(ds: Dataset, method: str, models: SweepModels,
     raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
 
 
+def condition_rows(
+    test: Dataset,
+    method: str,
+    theta_hat: np.ndarray,
+    snr_values: list[float] | None = None,
+) -> list[MetricsRow]:
+    """Per (channel, SNR) metrics of one method's estimates ``theta_hat``
+    over every record of ``test``, in increasing channel id, then SNR.
+
+    ``snr_values``, when given, keeps only the SNRs within 1e-6 dB of one
+    of its entries.
+    """
+    MN = test.M * test.N
+    rows: list[MetricsRow] = []
+    for cid in sorted(np.unique(test.channel_id).tolist()):
+        ch_mask = test.channel_id == cid
+        snrs = sorted(np.unique(test.snr_db[ch_mask]).tolist())
+        for snr in snrs:
+            if snr_values is not None and not any(
+                abs(snr - s) < 1e-6 for s in snr_values
+            ):
+                continue
+            mask = ch_mask & (test.snr_db == snr)
+            idx = np.flatnonzero(mask)
+            rows.append(MetricsRow(
+                method=method,
+                channel_id=int(cid),
+                snr_db=float(snr),
+                count=int(idx.size),
+                accuracy=accuracy(theta_hat[idx], test.theta_wrapped[idx]),
+                rmse=rmse(theta_hat[idx], test.theta_wrapped[idx], MN),
+                rmse_raw=rmse_raw(theta_hat[idx], test.theta_wrapped[idx]),
+            ))
+    return rows
+
+
 def sweep(
     test: Dataset,
     methods: list[str],
@@ -123,32 +159,15 @@ def sweep(
 ) -> list[MetricsRow]:
     """Per (channel, SNR) metrics of each method on held-out records.
 
-    ``test`` must already be the test partition.  Rows come back sorted by
-    method, then channel id, then SNR.
+    ``test`` must already be the test partition.  Methods are estimated
+    once each and their rows come back in the order of ``methods``; within
+    a method, rows run in increasing channel id, then SNR
+    (:func:`condition_rows`).
     """
-    MN = test.M * test.N
     rows: list[MetricsRow] = []
     for method in methods:
         theta_hat = estimate_all(test, method, models, batch_size)
-        for cid in sorted(np.unique(test.channel_id).tolist()):
-            ch_mask = test.channel_id == cid
-            snrs = sorted(np.unique(test.snr_db[ch_mask]).tolist())
-            for snr in snrs:
-                if snr_values is not None and not any(
-                    abs(snr - s) < 1e-6 for s in snr_values
-                ):
-                    continue
-                mask = ch_mask & (test.snr_db == snr)
-                idx = np.flatnonzero(mask)
-                rows.append(MetricsRow(
-                    method=method,
-                    channel_id=int(cid),
-                    snr_db=float(snr),
-                    count=int(idx.size),
-                    accuracy=accuracy(theta_hat[idx], test.theta_wrapped[idx]),
-                    rmse=rmse(theta_hat[idx], test.theta_wrapped[idx], MN),
-                    rmse_raw=rmse_raw(theta_hat[idx], test.theta_wrapped[idx]),
-                ))
+        rows.extend(condition_rows(test, method, theta_hat, snr_values))
     return rows
 
 

@@ -56,9 +56,14 @@ class Layer:
 class Conv1d(Layer):
     """Same-padded 1-D cross-correlation with odd kernel size.
 
-    weight has shape (out_channels, in_channels, kernel); the forward pass is
-    an im2col + single matmul, the backward pass reuses the column matrix for
-    the weight gradient and scatters the column gradient back for the input.
+    weight has shape (out_channels, in_channels, kernel).  Everything stays
+    channels-first: forward gathers the padded input into a column tensor
+    cols of shape (B, in_channels*kernel, L), row c*kernel + j holding
+    channel c shifted by tap j, so one broadcast matmul with the
+    (out_channels, in_channels*kernel) weight matrix lands directly in
+    (B, out_channels, L).  Backward reuses cols for the weight gradient and
+    adds the column gradient back into the padded input, one contiguous
+    shifted slice per tap.
     """
 
     def __init__(
@@ -82,43 +87,46 @@ class Conv1d(Layer):
         )
         self.bias = Parameter(np.zeros(out_channels, dtype=dtype))
         self._cols: np.ndarray | None = None
-        self._in_shape: tuple[int, ...] | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         B, C, L = x.shape
         if C != self.in_channels:
             raise ValueError(f"expected {self.in_channels} input channels, got {C}")
         xp = np.pad(x, ((0, 0), (0, 0), (self.pad, self.pad)))
-        win = sliding_window_view(xp, self.kernel, axis=2)  # (B, C, L, k)
-        cols = np.ascontiguousarray(win.transpose(0, 2, 1, 3)).reshape(B * L, C * self.kernel)
-        w2 = self.weight.value.reshape(self.out_channels, -1)
-        y = cols @ w2.T + self.bias.value
+        win = sliding_window_view(xp, L, axis=2)  # (B, C, k, L)
+        cols = win.reshape(B, C * self.kernel, L)
+        y = self.weight.value.reshape(self.out_channels, -1) @ cols
+        y += self.bias.value[:, None]
         self._cols = cols
-        self._in_shape = (B, C, L)
-        return np.ascontiguousarray(y.reshape(B, L, self.out_channels).transpose(0, 2, 1))
+        return y
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
-        B, C, L = self._in_shape
-        g2 = np.ascontiguousarray(gy.transpose(0, 2, 1)).reshape(B * L, self.out_channels)
-        self.weight.grad += (g2.T @ self._cols).reshape(self.weight.shape)
-        self.bias.grad += g2.sum(axis=0)
+        cols = self._cols
+        B, _, L = cols.shape
+        C, k, pad = self.in_channels, self.kernel, self.pad
+        self.weight.grad += (gy @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(
+            self.weight.shape)
+        self.bias.grad += gy.sum(axis=(0, 2))
         w2 = self.weight.value.reshape(self.out_channels, -1)
-        dcols = (g2 @ w2).reshape(B, L, C, self.kernel).transpose(0, 2, 1, 3)
-        dxp = np.zeros((B, C, L + 2 * self.pad), dtype=gy.dtype)
-        for k in range(self.kernel):
-            dxp[:, :, k : k + L] += dcols[:, :, :, k]
-        return dxp[:, :, self.pad : self.pad + L]
+        dcols = (w2.T @ gy).reshape(B, C, k, L)
+        dxp = np.zeros((B, C, L + 2 * pad), dtype=gy.dtype)
+        for j in range(k):
+            dxp[:, :, j : j + L] += dcols[:, :, j]
+        return dxp[:, :, pad : pad + L]
 
     def named_parameters(self, prefix: str = "") -> list[tuple[str, Parameter]]:
         return [(prefix + "weight", self.weight), (prefix + "bias", self.bias)]
 
 
 class BatchNorm1d(Layer):
-    """Per-channel batch normalization over the batch and length axes.
+    """Per-channel batch normalization over the batch and length axes of a
+    channels-first (B, C, L) tensor.
 
-    Normalization uses the biased batch variance; running statistics follow
-    the same convention with momentum 0.1 (new = 0.9*old + 0.1*batch).  Eval
-    mode normalizes with the running statistics.
+    Normalization uses the biased batch variance, taken from the centred
+    input; running statistics follow the same convention with momentum 0.1
+    (new = 0.9*old + 0.1*batch).  Eval mode normalizes with the running
+    statistics.  Forward caches the normalized input, so backward works in
+    both modes.
     """
 
     def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1,
@@ -139,31 +147,39 @@ class BatchNorm1d(Layer):
             raise ValueError(f"expected {self.channels} channels, got {x.shape[1]}")
         if self.training:
             mean = x.mean(axis=(0, 2))
-            var = x.var(axis=(0, 2))
+            xhat = x - mean[:, None]
+            var = np.square(xhat).mean(axis=(0, 2))
             m = self.momentum
             self.running_mean *= 1 - m
             self.running_mean += m * mean
             self.running_var *= 1 - m
             self.running_var += m * var
         else:
-            mean = self.running_mean
+            xhat = x - self.running_mean[:, None]
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean[None, :, None]) * inv_std[None, :, None]
+        xhat *= inv_std[:, None]
         self._xhat = xhat
         self._inv_std = inv_std
-        return self.gamma.value[None, :, None] * xhat + self.beta.value[None, :, None]
+        y = xhat * self.gamma.value[:, None]
+        y += self.beta.value[:, None]
+        return y
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
         xhat = self._xhat
-        self.gamma.grad += np.sum(gy * xhat, axis=(0, 2))
-        self.beta.grad += np.sum(gy, axis=(0, 2))
-        scale = (self.gamma.value * self._inv_std)[None, :, None]
+        sum_gy_xhat = np.sum(gy * xhat, axis=(0, 2))
+        sum_gy = np.sum(gy, axis=(0, 2))
+        self.gamma.grad += sum_gy_xhat
+        self.beta.grad += sum_gy
+        scale = (self.gamma.value * self._inv_std)[:, None]
         if not self.training:
             return gy * scale
-        mean_gy = gy.mean(axis=(0, 2))[None, :, None]
-        mean_gy_xhat = (gy * xhat).mean(axis=(0, 2))[None, :, None]
-        return scale * (gy - mean_gy - xhat * mean_gy_xhat)
+        n = gy.shape[0] * gy.shape[2]
+        gx = xhat * (sum_gy_xhat / n)[:, None]
+        np.subtract(gy, gx, out=gx)
+        gx -= (sum_gy / n)[:, None]
+        gx *= scale
+        return gx
 
     def named_parameters(self, prefix: str = "") -> list[tuple[str, Parameter]]:
         return [(prefix + "gamma", self.gamma), (prefix + "beta", self.beta)]
@@ -179,37 +195,48 @@ class BatchNorm1d(Layer):
 
 
 class ReLU(Layer):
+    """max(x, 0); the cached output doubles as the backward mask, so the
+    gradient is exactly 0 at x = 0."""
+
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return x * self._mask
+        self._y = np.maximum(x, 0)
+        return self._y
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
-        return gy * self._mask
+        return gy * (self._y > 0)
 
 
 class MaxPool1d(Layer):
-    """Non-overlapping max pool (kernel 2, stride 2); gradients route to the
-    first maximal element of each pair."""
+    """Non-overlapping max pool (kernel 2, stride 2) over the last axis.
+
+    The pairs are the strided even and odd samples x0 = x[..., 0::2] and
+    x1 = x[..., 1::2], so no reshape or index gather is needed.  As with an
+    argmax over each pair, a NaN propagates to the output, and gradients
+    route to the first maximal element (the first NaN, if any).
+    """
 
     def __init__(self, kernel: int = 2, stride: int = 2):
         if (kernel, stride) != (2, 2):
             raise ValueError("only kernel=2, stride=2 pooling is supported")
-        self.kernel = kernel
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        B, C, L = x.shape
+        L = x.shape[-1]
         if L % 2:
             raise ValueError(f"length {L} not divisible by the pool stride 2")
-        xr = x.reshape(B, C, L // 2, 2)
-        self._argmax = np.argmax(xr, axis=3)
-        self._in_shape = (B, C, L)
-        return np.take_along_axis(xr, self._argmax[..., None], axis=3)[..., 0]
+        x0, x1 = x[..., 0::2], x[..., 1::2]
+        y = np.maximum(x0, x1)
+        take1 = x1 > x0
+        if np.isnan(y.sum()):  # x1 > x0 is False for x1 = NaN, argmax picks it
+            take1 |= np.isnan(x1) & ~np.isnan(x0)
+        self._take1 = take1
+        return y
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
-        B, C, L = self._in_shape
-        gxr = np.zeros((B, C, L // 2, 2), dtype=gy.dtype)
-        np.put_along_axis(gxr, self._argmax[..., None], gy[..., None], axis=3)
-        return gxr.reshape(B, C, L)
+        take1 = self._take1
+        gx = np.empty(gy.shape[:-1] + (2 * gy.shape[-1],), dtype=gy.dtype)
+        np.multiply(gy, ~take1, out=gx[..., 0::2])
+        np.multiply(gy, take1, out=gx[..., 1::2])
+        return gx
 
 
 class Flatten(Layer):

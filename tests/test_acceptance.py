@@ -21,7 +21,8 @@ The checks, in order:
 Criteria 6, 7, 9 and 10 share module-scoped fixtures (a 5000-capture toy
 dataset and the trained coarse/fine/one-stage models), so the file is meant
 to run as a whole; total runtime is dominated by the four toy training runs
-(about six minutes on one laptop core).
+(about six minutes on one laptop core).  Those four tests carry the ``slow``
+marker, so ``pytest -m "not slow"`` runs everything else in seconds.
 """
 
 from __future__ import annotations
@@ -343,6 +344,7 @@ def test_05_gradient_suite():
     assert elapsed < 120.0
 
 
+@pytest.mark.slow
 def test_06_toy_two_stage_learning(two_stage):
     """Two-stage training on the toy AWGN dataset reaches >= 0.90 exact-match
     accuracy and <= 2 samples wrap RMSE on the held-out split."""
@@ -354,6 +356,7 @@ def test_06_toy_two_stage_learning(two_stage):
     assert two_stage.seconds <= 600.0
 
 
+@pytest.mark.slow
 def test_07_one_stage_comparison(two_stage, one_stage, toy_splits):
     """The single-stage head matches two-stage accuracy within 5 points while
     spending strictly more parameters."""
@@ -409,6 +412,7 @@ def test_08_default_scale_crosscorr_accuracy():
     assert elapsed < 60.0
 
 
+@pytest.mark.slow
 def test_09_determinism(two_stage, toy_splits, tmp_path):
     """The same config regenerates a byte-identical dataset file and the same
     seeds retrain byte-identical weight files (final and best, both stages)."""
@@ -433,6 +437,7 @@ def test_09_determinism(two_stage, toy_splits, tmp_path):
     assert elapsed <= 600.0
 
 
+@pytest.mark.slow
 def test_10_snr_monotonicity(two_stage):
     """Two-stage accuracy is non-decreasing in SNR over {-10, 0, 10, 20} dB
     (0.02 Monte-Carlo slack, ~500 fresh captures per point)."""

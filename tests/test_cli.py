@@ -95,6 +95,31 @@ class TestHappyPath:
         assert lines[0].startswith("method,channel_id")
         assert any(l.startswith("resnet2stage,-1,") for l in lines), "overall row"
 
+    def test_eval_estimates_once(self, workdir, capsys, monkeypatch):
+        import otfs_sync.cli as cli_mod
+        import otfs_sync.metrics as metrics_mod
+
+        calls = []
+        original = metrics_mod.estimate_all
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "estimate_all", counting)
+        monkeypatch.setattr(metrics_mod, "estimate_all", counting)
+        argv = ["--dataset", str(workdir["dataset"]),
+                "--weights", str(workdir["coarse"]),
+                "--fine-weights", str(workdir["fine"])]
+        assert main(["eval", "--method", "resnet2stage", *argv]) == 0
+        assert calls == ["resnet2stage"]
+        eval_lines = capsys.readouterr().out.strip().split("\n")
+        # the per-condition rows are the ones a one-method sweep prints
+        assert main(["sweep", "--methods", "resnet2stage", *argv]) == 0
+        sweep_lines = capsys.readouterr().out.strip().split("\n")
+        assert eval_lines[:-1] == sweep_lines
+        assert eval_lines[-1].startswith("resnet2stage,-1,")
+
     def test_eval_classic_methods_to_file(self, workdir):
         out_csv = workdir["root"] / "classic.csv"
         assert main([

@@ -2,7 +2,8 @@
 
 Every layer's analytic backward pass is compared against central-difference
 numeric gradients on a battery of 20 random shapes, all in float64, with a
-relative-error bound of 1e-4.
+relative-error bound of 1e-4.  The vectorized Conv1d and MaxPool1d kernels
+are also compared against loop and argmax references, in float32 and float64.
 """
 
 import numpy as np
@@ -78,6 +79,41 @@ def _random_resblock(seed, projection):
     return block, x
 
 
+def _conv_reference(x, w, b, gy):
+    """Direct per-tap same-padded convolution and its gradients, in float64.
+
+    Returns (y, dx, dw, db) computed one (input channel, tap) pair at a time,
+    with no column matrix, as the ground truth for the im2col kernels.
+    """
+    x, w, b, gy = (np.asarray(a, dtype=np.float64) for a in (x, w, b, gy))
+    B, C, L = x.shape
+    O, _, k = w.shape
+    p = (k - 1) // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p)))
+    y = np.zeros((B, O, L)) + b[None, :, None]
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for c in range(C):
+        for j in range(k):
+            tap = xp[:, c, j : j + L]  # (B, L)
+            y += w[None, :, c, j, None] * tap[:, None, :]
+            dw[:, c, j] = np.einsum("bol,bl->o", gy, tap)
+            dxp[:, c, j : j + L] += np.einsum("o,bol->bl", w[:, c, j], gy)
+    return y, dxp[:, :, p : p + L], dw, gy.sum(axis=(0, 2))
+
+
+def _argmax_pool_reference(x, gy):
+    """Pair max pool by argmax / take / put: the value and the gradient
+    routing the compare-based kernel must reproduce, NaNs and ties included."""
+    B, C, L = x.shape
+    xr = x.reshape(B, C, L // 2, 2)
+    am = np.argmax(xr, axis=3)[..., None]
+    y = np.take_along_axis(xr, am, axis=3)[..., 0]
+    gx = np.zeros(xr.shape, dtype=gy.dtype)
+    np.put_along_axis(gx, am, gy[..., None], axis=3)
+    return y, gx.reshape(B, C, L)
+
+
 class TestConv1d:
     def test_hand_computed_edge_detector(self):
         conv = Conv1d(1, 1, 3, _rng(0), dtype=np.float64)
@@ -97,6 +133,30 @@ class TestConv1d:
         conv = Conv1d(3, 5, 7, _rng(2))
         y = conv.forward(np.zeros((2, 3, 16), dtype=np.float32))
         assert y.shape == (2, 5, 16)
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("B,C_in,C_out,L,k", [
+        (1, 1, 1, 5, 1),    # every dimension minimal
+        (1, 1, 3, 9, 3),
+        (2, 3, 2, 2, 7),    # shorter than the kernel
+        (3, 1, 4, 1, 5),    # a single sample
+        (2, 4, 4, 16, 5),
+        (4, 16, 16, 32, 7),
+    ])
+    def test_matches_per_tap_reference(self, B, C_in, C_out, L, k, dtype, tol):
+        rng = _rng(B * 1000 + C_in * 100 + L * 10 + k)
+        conv = Conv1d(C_in, C_out, k, rng, dtype=dtype)
+        conv.bias.value[:] = rng.standard_normal(C_out)
+        x = rng.standard_normal((B, C_in, L)).astype(dtype)
+        gy = rng.standard_normal((B, C_out, L)).astype(dtype)
+        y = conv.forward(x)
+        dx = conv.backward(gy)
+        want = _conv_reference(x, conv.weight.value, conv.bias.value, gy)
+        got = (y, dx, conv.weight.grad, conv.bias.grad)
+        for name, g, w in zip(("y", "dx", "dw", "db"), got, want):
+            assert g.dtype == dtype and g.shape == w.shape, name
+            scale = max(1.0, float(np.max(np.abs(w))))
+            assert np.max(np.abs(g - w)) <= tol * scale, name
 
     def test_rejects_even_kernel(self):
         with pytest.raises(ValueError):
@@ -177,6 +237,13 @@ class TestReLU:
         y = ReLU().forward(np.array([[[-1.0, 0.0, 2.0]]]))
         assert np.array_equal(y, [[[0.0, 0.0, 2.0]]])
 
+    def test_backward_is_zero_at_the_kink(self):
+        relu = ReLU()
+        x = np.array([[[-1.0, 0.0, -0.0, 2.0]]])
+        relu.forward(x)
+        dx = relu.backward(np.full(x.shape, 3.0))
+        assert np.array_equal(dx, [[[0.0, 0.0, 0.0, 3.0]]])
+
     @pytest.mark.parametrize("seed", range(N_SHAPES))
     def test_gradients(self, seed):
         rng = _rng(300 + seed)
@@ -196,6 +263,31 @@ class TestMaxPool1d:
         pool.forward(np.array([[[5.0, 5.0]]]))
         dx = pool.backward(np.array([[[1.0]]]))
         assert np.array_equal(dx, [[[1.0, 0.0]]])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_argmax_reference_with_ties_and_nans(self, seed, dtype):
+        rng = _rng(450 + seed)
+        shape = (int(rng.integers(1, 4)), int(rng.integers(1, 5)), 2 * int(rng.integers(4, 12)))
+        x = rng.integers(-2, 3, size=shape).astype(dtype)  # many tied pairs
+        flat = x.reshape(-1)
+        flat[rng.choice(flat.size, size=max(1, flat.size // 8), replace=False)] = np.nan
+        gy = rng.standard_normal((shape[0], shape[1], shape[2] // 2)).astype(dtype)
+        pool = MaxPool1d()
+        y = pool.forward(x)
+        dx = pool.backward(gy)
+        want_y, want_dx = _argmax_pool_reference(x, gy)
+        assert y.dtype == dtype and dx.dtype == dtype
+        assert np.array_equal(y, want_y, equal_nan=True)
+        assert np.array_equal(dx, want_dx)
+
+    def test_nan_routes_to_first_nan(self):
+        nan = np.nan
+        pool = MaxPool1d()
+        y = pool.forward(np.array([[[nan, 1.0, 1.0, nan, nan, nan, 2.0, 2.0]]]))
+        assert np.array_equal(y, [[[nan, nan, nan, 2.0]]], equal_nan=True)
+        dx = pool.backward(np.array([[[1.0, 2.0, 3.0, 4.0]]]))
+        assert np.array_equal(dx, [[[1.0, 0.0, 0.0, 2.0, 3.0, 0.0, 4.0, 0.0]]])
 
     @pytest.mark.parametrize("seed", range(N_SHAPES))
     def test_gradients(self, seed):
