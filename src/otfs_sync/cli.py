@@ -27,10 +27,46 @@ from .metrics import (
     sweep,
 )
 from .nn.io import WeightsFormatError, load_tensors, split_metadata
-from .nn.model import load_model, save_model
+from .nn.model import HEAD_CODES, load_model, save_model
 from .pipeline import TrainHyper, model_metadata, train_coarse, train_fine, train_one_stage
 
-_HEAD_NAMES = {0: "coarse", 1: "fine", 2: "onestage"}
+# the models each learned method needs, by SweepModels field
+_METHOD_HEADS = {"resnet2stage": ("coarse", "fine"), "resnet1stage": ("onestage",)}
+
+
+def _check_args(args: argparse.Namespace) -> None:
+    """Reject out-of-range numeric options shared by several commands."""
+    for flag in ("batch", "epochs"):
+        value = getattr(args, flag, 1)
+        if value < 1:
+            raise ConfigError(f"--{flag} must be >= 1, got {value}")
+    fraction = getattr(args, "train_fraction", 0.5)
+    if not 0.0 < fraction < 1.0:
+        raise ConfigError(f"--train-fraction must lie strictly between 0 and 1, got {fraction}")
+
+
+def _preamble(length: int, root: int) -> np.ndarray:
+    """The Zadoff-Chu preamble named on the command line; a length or root
+    it cannot be built from is a configuration error."""
+    try:
+        return zadoff_chu(length, root)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _load_checked(path: str, heads: tuple[str, ...], grid: tuple[int, int],
+                  wrong_head: str, wrong_grid: str):
+    """Load a weights file that must hold one of ``heads`` for the M x N
+    ``grid``.  The error templates may use {path}, {head}, {expected},
+    {M}, {N} (the file's) and {grid} (the requested one)."""
+    model, _ = load_model(path)
+    fields = {"path": path, "head": model.head, "expected": heads[0],
+              "M": model.M, "N": model.N, "grid": f"{grid[0]}x{grid[1]}"}
+    if model.head not in heads:
+        raise ConfigError(wrong_head.format(**fields))
+    if (model.M, model.N) != grid:
+        raise ConfigError(wrong_grid.format(**fields))
+    return model
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -66,14 +102,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
     else:
         if not args.coarse_weights:
             raise ConfigError("--stage fine requires --coarse-weights")
-        coarse, meta = load_model(args.coarse_weights)
-        if _HEAD_NAMES.get(int(meta["head_code"])) != "coarse":
-            raise ConfigError(f"{args.coarse_weights} does not hold a coarse model")
-        if (coarse.M, coarse.N) != (train_ds.M, train_ds.N):
-            raise ConfigError(
-                f"coarse model geometry {coarse.M}x{coarse.N} does not match "
-                f"dataset {train_ds.M}x{train_ds.N}"
-            )
+        coarse = _load_checked(
+            args.coarse_weights, ("coarse",), (train_ds.M, train_ds.N),
+            "{path} does not hold a coarse model",
+            "coarse model geometry {M}x{N} does not match dataset {grid}")
         result = train_fine(coarse, train_ds, test_ds, hyper, log)
 
     meta = model_metadata(result.model, hyper)
@@ -95,51 +127,38 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_models_for(args: argparse.Namespace, ds) -> SweepModels:
-    coarse = fine = onestage = None
-    if args.weights:
-        model, meta = load_model(args.weights)
-        head = _HEAD_NAMES.get(int(meta["head_code"]))
-        if head == "coarse":
-            coarse = model
-        elif head == "onestage":
-            onestage = model
-        else:
+def _load_models_for(args: argparse.Namespace, ds, methods: list[str]) -> SweepModels:
+    grid = (ds.M, ds.N)
+    wrong_grid = "model geometry {M}x{N} does not match dataset {grid}"
+    loaded = {}
+    for path, heads, wrong_head in (
+        (args.weights, ("coarse", "onestage"),
+         "--weights holds a {head} model; pass the fine stage via --fine-weights"),
+        (args.fine_weights, ("fine",), "{path} does not hold a fine model"),
+        (args.onestage_weights, ("onestage",), "{path} does not hold a one-stage model"),
+    ):
+        if path:
+            model = _load_checked(path, heads, grid, wrong_head, wrong_grid)
+            loaded[model.head] = model
+    for method in methods:
+        if any(head not in loaded for head in _METHOD_HEADS.get(method, ())):
             raise ConfigError(
-                f"--weights holds a {head} model; pass the fine stage via --fine-weights"
+                f"{method} needs {' and '.join(_METHOD_HEADS[method])} weights"
             )
-    if args.fine_weights:
-        model, meta = load_model(args.fine_weights)
-        if _HEAD_NAMES.get(int(meta["head_code"])) != "fine":
-            raise ConfigError(f"{args.fine_weights} does not hold a fine model")
-        fine = model
-    if args.onestage_weights:
-        model, meta = load_model(args.onestage_weights)
-        if _HEAD_NAMES.get(int(meta["head_code"])) != "onestage":
-            raise ConfigError(f"{args.onestage_weights} does not hold a one-stage model")
-        onestage = model
-    for model in (coarse, fine, onestage):
-        if model is not None and (model.M, model.N) != (ds.M, ds.N):
-            raise ConfigError(
-                f"model geometry {model.M}x{model.N} does not match dataset "
-                f"{ds.M}x{ds.N}"
-            )
-    preamble = zadoff_chu(args.preamble_length, args.preamble_root)
+    preamble = _preamble(args.preamble_length, args.preamble_root)
     pilot_row = args.pilot_row if args.pilot_row is not None else ds.M // 2
     return SweepModels(
-        coarse=coarse,
-        fine=fine,
-        onestage=onestage,
         preamble=preamble,
         preamble_offset=-(args.preamble_length + ds.L_CP),
         pilot_row=pilot_row,
+        **loaded,
     )
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     ds = read_dataset(args.dataset)
     _, test_ds = ds.split(args.train_fraction)
-    models = _load_models_for(args, test_ds)
+    models = _load_models_for(args, test_ds, [args.method])
     theta_hat = estimate_all(test_ds, args.method, models, args.batch)
     rows = condition_rows(test_ds, args.method, theta_hat)
     rows.append(overall_row(test_ds, args.method, theta_hat))
@@ -156,11 +175,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     ds = read_dataset(args.dataset)
     _, test_ds = ds.split(args.train_fraction)
-    models = _load_models_for(args, test_ds)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}; choose from {METHODS}")
+    models = _load_models_for(args, test_ds, methods)
     snr_values = None
     if args.snr_min is not None or args.snr_max is not None:
         lo = args.snr_min if args.snr_min is not None else float(np.min(test_ds.snr_db))
@@ -178,20 +197,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_one(path: str | None, expected_head: str, M: int, N: int):
-    if not path:
-        return None
-    model, meta = load_model(path)
-    head = _HEAD_NAMES.get(int(meta["head_code"]))
-    if head != expected_head:
-        raise ConfigError(f"{path} holds a {head} model, expected {expected_head}")
-    if (model.M, model.N) != (M, N):
-        raise ConfigError(
-            f"{path} was trained for {model.M}x{model.N}, requested {M}x{N}"
-        )
-    return model
-
-
 def _cmd_complexity(args: argparse.Namespace) -> int:
     if args.config:
         cfg = load_dataset_config(args.config)
@@ -200,13 +205,18 @@ def _cmd_complexity(args: argparse.Namespace) -> int:
         pilot_row = cfg.pilot.m_p
     else:
         M, N, preamble_len, pilot_row = args.M, args.N, args.preamble_length, None
-    models = None
-    if args.weights or args.fine_weights or args.onestage_weights:
-        models = SweepModels(
-            coarse=_load_one(args.weights, "coarse", M, N),
-            fine=_load_one(args.fine_weights, "fine", M, N),
-            onestage=_load_one(args.onestage_weights, "onestage", M, N),
-        )
+    if not args.no_runtime:
+        _preamble(preamble_len, 25)  # the one complexity_report times crosscorr with
+        if M * N % 8:
+            raise ConfigError(f"timing the classifiers needs M*N divisible by 8, got {M}x{N}")
+    loaded = {}
+    for head, path in (("coarse", args.weights), ("fine", args.fine_weights),
+                       ("onestage", args.onestage_weights)):
+        if path:
+            loaded[head] = _load_checked(
+                path, (head,), (M, N), "{path} holds a {head} model, expected {expected}",
+                "{path} was trained for {M}x{N}, requested {grid}")
+    models = SweepModels(**loaded) if loaded else None
     rows = complexity_report(
         M, N, preamble_len=preamble_len, pilot_row=pilot_row,
         models=models, repeats=args.repeats,
@@ -243,7 +253,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
         tensors = load_tensors(args.weights)
         state, meta = split_metadata(tensors)
         print(f"weights {args.weights}")
-        head = _HEAD_NAMES.get(int(meta.get("head_code", -1)), "?")
+        code = int(meta.get("head_code", -1))
+        head = next((h for h, c in HEAD_CODES.items() if c == code), "?")
         print(f"  head     {head}")
         print(f"  geometry M={int(meta.get('M', 0))} N={int(meta.get('N', 0))}")
         n_params = sum(v.size for k, v in state.items() if "running_" not in k)
@@ -334,6 +345,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_args(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -341,9 +353,6 @@ def main(argv: list[str] | None = None) -> int:
     except (DataFormatError, WeightsFormatError) as exc:
         print(f"data format error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except KeyboardInterrupt:
         raise
     except Exception as exc:  # training/runtime failures

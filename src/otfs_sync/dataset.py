@@ -25,6 +25,7 @@ File layout (little-endian), magic ``OTFSDS01``:
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import BinaryIO, Iterator
@@ -349,7 +350,10 @@ def save_dataset(ds: Dataset, path: str) -> None:
 
 
 def read_dataset(path: str) -> Dataset:
-    """Load a dataset file, validating magic, version, and length."""
+    """Load a dataset file, validating magic, version, and length.
+
+    Each record's planes are read straight into the window array, so a read
+    allocates the dataset once, not the file bytes plus a copy of them."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) < _HEADER.size:
@@ -361,33 +365,31 @@ def read_dataset(path: str) -> Dataset:
             raise DataFormatError(f"{path}: unsupported format version {version}")
         MN = M * N
         rec_bytes = _REC_FIXED.size + 2 * 4 * MN
-        payload = fh.read()
-    if len(payload) != count * rec_bytes:
-        raise DataFormatError(
-            f"{path}: truncated or oversized: header promises {count} records "
-            f"({count * rec_bytes} bytes), found {len(payload)}"
+        found = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if found != count * rec_bytes:
+            raise DataFormatError(
+                f"{path}: truncated or oversized: header promises {count} records "
+                f"({count * rec_bytes} bytes), found {found}"
+            )
+        ds = Dataset(
+            M=int(M), N=int(N), L_CP=int(L_CP), global_seed=int(seed),
+            windows=np.empty((count, 2, MN), dtype="<f4"),
+            channel_id=np.empty(count, dtype=np.uint8),
+            snr_db=np.empty(count, dtype=np.float32),
+            theta_raw=np.empty(count, dtype=np.int32),
+            theta_wrapped=np.empty(count, dtype=np.uint32),
+            theta_t=np.empty(count, dtype=np.uint16),
+            theta_d=np.empty(count, dtype=np.uint16),
         )
-    ds = Dataset(
-        M=int(M), N=int(N), L_CP=int(L_CP), global_seed=int(seed),
-        windows=np.empty((count, 2, MN), dtype=np.float32),
-        channel_id=np.empty(count, dtype=np.uint8),
-        snr_db=np.empty(count, dtype=np.float32),
-        theta_raw=np.empty(count, dtype=np.int32),
-        theta_wrapped=np.empty(count, dtype=np.uint32),
-        theta_t=np.empty(count, dtype=np.uint16),
-        theta_d=np.empty(count, dtype=np.uint16),
-    )
-    for i in range(count):
-        off = i * rec_bytes
-        cid, snr, t_raw, t_wrap, t_t, t_d = _REC_FIXED.unpack_from(payload, off)
-        ds.channel_id[i] = cid
-        ds.snr_db[i] = snr
-        ds.theta_raw[i] = t_raw
-        ds.theta_wrapped[i] = t_wrap
-        ds.theta_t[i] = t_t
-        ds.theta_d[i] = t_d
-        planes = np.frombuffer(
-            payload, dtype="<f4", count=2 * MN, offset=off + _REC_FIXED.size
-        )
-        ds.windows[i] = planes.reshape(2, MN)
+        for i in range(count):
+            fixed = fh.read(_REC_FIXED.size)
+            if len(fixed) != _REC_FIXED.size or fh.readinto(ds.windows[i]) != 8 * MN:
+                raise DataFormatError(f"{path}: record {i} is truncated")
+            cid, snr, t_raw, t_wrap, t_t, t_d = _REC_FIXED.unpack(fixed)
+            ds.channel_id[i] = cid
+            ds.snr_db[i] = snr
+            ds.theta_raw[i] = t_raw
+            ds.theta_wrapped[i] = t_wrap
+            ds.theta_t[i] = t_t
+            ds.theta_d[i] = t_d
     return ds

@@ -25,6 +25,7 @@ from .classic import (
     crosscorr_macs,
 )
 from .dataset import Dataset
+from .frames import zadoff_chu
 from .nn.model import SyncModel, build_sync_model, count_flops, param_count
 from .pipeline import infer_one_stage, infer_two_stage
 
@@ -225,7 +226,12 @@ def complexity_report(
     measure_runtime: bool = True,
 ) -> list[ComplexityRow]:
     """Analytic FLOPs (and parameters where applicable) per method, plus the
-    median single-capture runtime over ``repeats`` inferences."""
+    median single-capture runtime over ``repeats`` inferences.
+
+    FLOPs count the paper's direct-form algorithms; runtimes time this
+    implementation.  Cross-correlation is timed against the Zadoff-Chu
+    preamble of length ``preamble_len`` with the default root 25, so that
+    length must be coprime with 25 when runtime is measured."""
     from .classic import autocorr2d, cross_correlation_surface
 
     MN = M * N
@@ -242,7 +248,7 @@ def complexity_report(
     rng = np.random.Generator(np.random.PCG64(12345))
     win_planes = rng.standard_normal((1, 2, MN)).astype(np.float32)
     win_complex = win_planes[0, 0].astype(np.float64) + 1j * win_planes[0, 1]
-    preamble = np.exp(1j * np.pi * np.arange(preamble_len) ** 2 / max(preamble_len, 1))
+    preamble = zadoff_chu(preamble_len, 25) if measure_runtime else None
 
     rows = [
         ComplexityRow(

@@ -1,10 +1,18 @@
 """Minimal deterministic layer zoo with hand-written backpropagation.
 
-Everything is plain numpy.  Each layer caches what its backward pass needs
-during forward, accumulates parameter gradients into ``Parameter.grad`` and
-returns the input gradient, so a network is trained by calling ``forward``,
-seeding the output gradient from the loss, and walking ``backward`` in
-reverse order (containers do the walking).
+Everything is plain numpy.  ``forward(x)`` caches what the backward pass
+needs; ``backward`` uses that cache up (it drops its references), accumulates
+parameter gradients into ``Parameter.grad`` and returns the input gradient.
+A network is trained by calling ``forward``, seeding the output gradient
+from the loss, and walking ``backward`` in reverse order (containers do the
+walking).  One backward per forward: once backward has run, the layer holds
+no array from that step.
+
+``forward(x, cache=False)`` is the inference path: nothing is kept for
+backward, and the layers that normalize must be in eval mode (they raise
+``ValueError`` otherwise).  A residual block then folds each eval-mode batch
+norm into the convolution before it, so its output differs from the cached
+eval-mode forward only by float rounding.
 
 Layers are dtype-generic: training runs in float32, and the same code paths
 run in float64 for finite-difference gradient verification.
@@ -13,7 +21,6 @@ run in float64 for finite-difference gradient verification.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class Parameter:
@@ -37,7 +44,7 @@ class Parameter:
 class Layer:
     """Base: stateless pass-through with no parameters."""
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         raise NotImplementedError
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
@@ -57,13 +64,20 @@ class Conv1d(Layer):
     """Same-padded 1-D cross-correlation with odd kernel size.
 
     weight has shape (out_channels, in_channels, kernel).  Everything stays
-    channels-first: forward gathers the padded input into a column tensor
-    cols of shape (B, in_channels*kernel, L), row c*kernel + j holding
-    channel c shifted by tap j, so one broadcast matmul with the
-    (out_channels, in_channels*kernel) weight matrix lands directly in
-    (B, out_channels, L).  Backward reuses cols for the weight gradient and
-    adds the column gradient back into the padded input, one contiguous
-    shifted slice per tap.
+    channels-first: forward zero-pads the input once and reads it through a
+    strided (B, in_channels, kernel, L) window view, which reshapes into a
+    column tensor cols of shape (B, in_channels*kernel, L), row c*kernel + j
+    holding channel c shifted by tap j; for kernel 1 the input itself is
+    the column tensor.  One broadcast matmul with the
+    (out_channels, in_channels*kernel) weight matrix then lands directly in
+    (B, out_channels, L).  Backward uses up the cached cols for the weight
+    gradient and adds the column gradient back into the padded input, one
+    contiguous shifted slice per tap.
+
+    ``forward(x, cache=False, weight=W, bias=b)`` keeps no cols and applies
+    the given (out_channels, in_channels, kernel) weight and bias in place of
+    the layer's own parameters: a residual block passes its batch-norm-folded
+    copies this way at inference.
     """
 
     def __init__(
@@ -88,20 +102,30 @@ class Conv1d(Layer):
         self.bias = Parameter(np.zeros(out_channels, dtype=dtype))
         self._cols: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, cache: bool = True,
+                weight: np.ndarray | None = None,
+                bias: np.ndarray | None = None) -> np.ndarray:
         B, C, L = x.shape
         if C != self.in_channels:
             raise ValueError(f"expected {self.in_channels} input channels, got {C}")
-        xp = np.pad(x, ((0, 0), (0, 0), (self.pad, self.pad)))
-        win = sliding_window_view(xp, L, axis=2)  # (B, C, k, L)
-        cols = win.reshape(B, C * self.kernel, L)
-        y = self.weight.value.reshape(self.out_channels, -1) @ cols
-        y += self.bias.value[:, None]
-        self._cols = cols
+        k, pad = self.kernel, self.pad
+        if k == 1:
+            cols = x
+        else:
+            xp = np.zeros((B, C, L + 2 * pad), dtype=x.dtype)
+            xp[:, :, pad : pad + L] = x
+            s0, s1, s2 = xp.strides
+            win = np.ndarray((B, C, k, L), x.dtype, xp, 0, (s0, s1, s2, s2))
+            cols = win.reshape(B, C * k, L)
+        w = self.weight.value if weight is None else weight
+        y = w.reshape(self.out_channels, -1) @ cols
+        y += (self.bias.value if bias is None else bias)[:, None]
+        if cache:
+            self._cols = cols
         return y
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
-        cols = self._cols
+        cols, self._cols = self._cols, None
         B, _, L = cols.shape
         C, k, pad = self.in_channels, self.kernel, self.pad
         self.weight.grad += (gy @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(
@@ -126,7 +150,8 @@ class BatchNorm1d(Layer):
     input; running statistics follow the same convention with momentum 0.1
     (new = 0.9*old + 0.1*batch).  Eval mode normalizes with the running
     statistics.  Forward caches the normalized input, so backward works in
-    both modes.
+    both modes.  ``forward(x, cache=False)`` needs eval mode and applies the
+    running statistics as the per-channel affine map of :meth:`eval_affine`.
     """
 
     def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1,
@@ -142,9 +167,22 @@ class BatchNorm1d(Layer):
         self._xhat: np.ndarray | None = None
         self._inv_std: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def eval_affine(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eval-mode (scale, shift) per channel: y = scale*x + shift, with
+        scale = gamma/sqrt(running_var + eps), shift = beta - scale*running_mean."""
+        if self.training:
+            raise ValueError("batch norm in training mode has no fixed affine map")
+        scale = self.gamma.value * (1.0 / np.sqrt(self.running_var + self.eps))
+        return scale, self.beta.value - scale * self.running_mean
+
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         if x.shape[1] != self.channels:
             raise ValueError(f"expected {self.channels} channels, got {x.shape[1]}")
+        if not cache:
+            scale, shift = self.eval_affine()
+            y = x * scale[:, None]
+            y += shift[:, None]
+            return y
         if self.training:
             mean = x.mean(axis=(0, 2))
             xhat = x - mean[:, None]
@@ -166,12 +204,13 @@ class BatchNorm1d(Layer):
         return y
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
-        xhat = self._xhat
+        xhat, self._xhat = self._xhat, None
+        inv_std, self._inv_std = self._inv_std, None
         sum_gy_xhat = np.sum(gy * xhat, axis=(0, 2))
         sum_gy = np.sum(gy, axis=(0, 2))
         self.gamma.grad += sum_gy_xhat
         self.beta.grad += sum_gy
-        scale = (self.gamma.value * self._inv_std)[:, None]
+        scale = (self.gamma.value * inv_std)[:, None]
         if not self.training:
             return gy * scale
         n = gy.shape[0] * gy.shape[2]
@@ -198,12 +237,17 @@ class ReLU(Layer):
     """max(x, 0); the cached output doubles as the backward mask, so the
     gradient is exactly 0 at x = 0."""
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._y = np.maximum(x, 0)
-        return self._y
+    _y: np.ndarray | None = None
+
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
+        y = np.maximum(x, 0)
+        if cache:
+            self._y = y
+        return y
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
-        return gy * (self._y > 0)
+        y, self._y = self._y, None
+        return gy * (y > 0)
 
 
 class MaxPool1d(Layer):
@@ -219,12 +263,16 @@ class MaxPool1d(Layer):
         if (kernel, stride) != (2, 2):
             raise ValueError("only kernel=2, stride=2 pooling is supported")
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    _take1: np.ndarray | None = None
+
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         L = x.shape[-1]
         if L % 2:
             raise ValueError(f"length {L} not divisible by the pool stride 2")
         x0, x1 = x[..., 0::2], x[..., 1::2]
         y = np.maximum(x0, x1)
+        if not cache:
+            return y
         take1 = x1 > x0
         if np.isnan(y.sum()):  # x1 > x0 is False for x1 = NaN, argmax picks it
             take1 |= np.isnan(x1) & ~np.isnan(x0)
@@ -232,7 +280,7 @@ class MaxPool1d(Layer):
         return y
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
-        take1 = self._take1
+        take1, self._take1 = self._take1, None
         gx = np.empty(gy.shape[:-1] + (2 * gy.shape[-1],), dtype=gy.dtype)
         np.multiply(gy, ~take1, out=gx[..., 0::2])
         np.multiply(gy, take1, out=gx[..., 1::2])
@@ -240,8 +288,9 @@ class MaxPool1d(Layer):
 
 
 class Flatten(Layer):
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._in_shape = x.shape
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
+        if cache:
+            self._in_shape = x.shape
         return x.reshape(x.shape[0], -1)
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
@@ -258,13 +307,16 @@ class Linear(Layer):
             (rng.standard_normal((out_features, in_features)) * std).astype(dtype)
         )
         self.bias = Parameter(np.zeros(out_features, dtype=dtype))
+        self._x: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
+        if cache:
+            self._x = x
         return x @ self.weight.value.T + self.bias.value
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
-        self.weight.grad += gy.T @ self._x
+        x, self._x = self._x, None
+        self.weight.grad += gy.T @ x
         self.bias.grad += gy.sum(axis=0)
         return gy @ self.weight.value
 
@@ -278,9 +330,9 @@ class Sequential(Layer):
     def __init__(self, children: list[tuple[str, Layer]]):
         self.children = children
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         for _, layer in self.children:
-            x = layer.forward(x)
+            x = layer.forward(x, cache=cache)
         return x
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
@@ -305,12 +357,29 @@ class Sequential(Layer):
             layer.set_training(flag)
 
 
+def _folded_conv(conv: Conv1d, bn: BatchNorm1d, x: np.ndarray) -> np.ndarray:
+    """bn(conv(x)) in eval mode as one conv with the batch norm folded in."""
+    scale, shift = bn.eval_affine()
+    w = conv.weight.value * scale[:, None, None]
+    b = conv.bias.value * scale + shift
+    return conv.forward(x, False, w, b)
+
+
 class ResBlock(Layer):
     """Residual unit y = ReLU(F(x) + H(x)).
 
     F stacks conv7-BN-ReLU, conv5-BN-ReLU, conv3-BN (channel change happens
     in the first conv); H is the identity when channel counts match and a
     1x1 conv + BN projection otherwise.
+
+    ``forward(x, cache=False)`` is the eval-mode inference path (it raises
+    ``ValueError`` in training mode).  Each batch norm folds into the conv
+    before it, W' = s*W and b' = s*b + (beta - s*mu) with
+    s = gamma/sqrt(var + eps) from the running statistics (Ioffe & Szegedy
+    2015; see :meth:`BatchNorm1d.eval_affine`), and each conv runs as
+    ``Conv1d.forward(h, cache=False, weight=W', bias=b')``.  The ReLUs and
+    the residual add then work in place on the block's own temporaries; the
+    caller's ``x`` is never written.
     """
 
     def __init__(self, in_channels: int, out_channels: int, rng: np.random.Generator,
@@ -334,10 +403,24 @@ class ResBlock(Layer):
             ])
         self.relu_out = ReLU()
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        f = self.main.forward(x)
-        h = x if self.shortcut is None else self.shortcut.forward(x)
-        return self.relu_out.forward(f + h)
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
+        if cache:
+            f = self.main.forward(x)
+            h = x if self.shortcut is None else self.shortcut.forward(x)
+            return self.relu_out.forward(f + h)
+        conv7, bn7, _, conv5, bn5, _, conv3, bn3 = (l for _, l in self.main.children)
+        h = _folded_conv(conv7, bn7, x)
+        np.maximum(h, 0, out=h)
+        h = _folded_conv(conv5, bn5, h)
+        np.maximum(h, 0, out=h)
+        f = _folded_conv(conv3, bn3, h)
+        if self.shortcut is None:
+            f += x
+        else:
+            (_, conv1), (_, bn1) = self.shortcut.children
+            f += _folded_conv(conv1, bn1, x)
+        np.maximum(f, 0, out=f)
+        return f
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
         g = self.relu_out.backward(gy)

@@ -66,12 +66,17 @@ class SyncModel:
 
     def predict_classes(self, X: np.ndarray, batch_size: int = 256) -> np.ndarray:
         """Eval-mode argmax over class scores, batched; ties resolve to the
-        smallest class index."""
+        smallest class index.
+
+        Runs the cache-free inference forward (``cache=False``): no layer
+        keeps anything for backward, and each batch norm is folded into the
+        conv before it, so the scores differ from the eval-mode ``forward``
+        only by float rounding."""
         self.eval()
         out = np.empty(X.shape[0], dtype=np.int64)
         for lo in range(0, X.shape[0], batch_size):
             hi = min(lo + batch_size, X.shape[0])
-            out[lo:hi] = np.argmax(self.net.forward(X[lo:hi]), axis=1)
+            out[lo:hi] = np.argmax(self.net.forward(X[lo:hi], cache=False), axis=1)
         return out
 
     def state_dict(self) -> dict[str, np.ndarray]:

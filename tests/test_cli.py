@@ -230,3 +230,53 @@ class TestExitCodes:
         assert main(["info"]) == 2
         assert main(["info", "--dataset", str(workdir["dataset"]),
                      "--weights", str(workdir["coarse"])]) == 2
+
+    def test_two_stage_without_fine_weights_is_2(self, workdir, capsys):
+        assert main([
+            "eval", "--method", "resnet2stage",
+            "--dataset", str(workdir["dataset"]),
+            "--weights", str(workdir["coarse"]),
+        ]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--batch", "0"), ("--train-fraction", "0"), ("--train-fraction", "1.5"),
+    ])
+    def test_bad_eval_option_is_2(self, workdir, flag, value):
+        assert main([
+            "eval", "--method", "autocorr2d",
+            "--dataset", str(workdir["dataset"]), flag, value,
+        ]) == 2
+
+    @pytest.mark.parametrize("flag", ["--batch", "--epochs"])
+    def test_bad_train_option_is_2(self, workdir, flag):
+        assert main([
+            "train", "--stage", "coarse",
+            "--dataset", str(workdir["dataset"]),
+            "--out-weights", str(workdir["root"] / "nope.otfsnn"),
+            flag, "0",
+        ]) == 2
+
+    def test_bad_preamble_is_2(self, workdir):
+        assert main([
+            "eval", "--method", "crosscorr",
+            "--dataset", str(workdir["dataset"]),
+            "--preamble-length", "16", "--preamble-root", "4",
+        ]) == 2
+        assert main(["complexity", "--M", "8", "--N", "4",
+                     "--preamble-length", "25", "--repeats", "1"]) == 2
+
+    def test_runtime_value_error_is_4(self, workdir, capsys, monkeypatch):
+        import otfs_sync.metrics as metrics_mod
+
+        def failing(*args, **kwargs):
+            raise ValueError("numerical failure")
+
+        monkeypatch.setattr(metrics_mod, "infer_two_stage", failing)
+        assert main([
+            "eval", "--method", "resnet2stage",
+            "--dataset", str(workdir["dataset"]),
+            "--weights", str(workdir["coarse"]),
+            "--fine-weights", str(workdir["fine"]),
+        ]) == 4
+        assert "ValueError: numerical failure" in capsys.readouterr().err

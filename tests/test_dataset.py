@@ -257,6 +257,21 @@ class TestFileFormat:
         with pytest.raises(DataFormatError):
             read_dataset(path)
 
+    def test_read_allocates_the_dataset_once(self, tmp_path):
+        # the reader must not hold the file bytes next to the window array
+        import tracemalloc
+
+        cfg = _toy_config(samples_per_channel=40)
+        path = tmp_path / "m.otfsds"
+        write_dataset(cfg, path)
+        tracemalloc.start()
+        try:
+            ds = read_dataset(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * ds.windows.nbytes
+
     def test_rejects_unknown_version(self, tmp_path):
         cfg = _toy_config(samples_per_channel=1)
         path = tmp_path / "v.otfsds"

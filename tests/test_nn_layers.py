@@ -55,7 +55,7 @@ def _grad_errors_eps_ladder(layer, x, seed, ladder=(1e-6, 1e-5, 3e-5)):
     return merged
 
 
-def _random_resblock(seed, projection):
+def _random_resblock(seed, projection, dtype=np.float64):
     """A ResBlock and matching input at a generic point in parameter space.
 
     Biases, scales, and running stats are pushed off their symmetric
@@ -66,7 +66,7 @@ def _random_resblock(seed, projection):
     C_in = int(rng.integers(1, 4))
     C_out = C_in + int(rng.integers(1, 4)) if projection else C_in
     L = 2 * int(rng.integers(2, 6))
-    block = ResBlock(C_in, C_out, rng, dtype=np.float64)
+    block = ResBlock(C_in, C_out, rng, dtype=dtype)
     for _, p in block.named_parameters():
         if p.value.ndim == 1:
             p.value += 0.2 * rng.standard_normal(p.shape)
@@ -75,7 +75,7 @@ def _random_resblock(seed, projection):
             buf[:] = 0.5 + rng.uniform(size=buf.shape)
         else:
             buf[:] = 0.2 * rng.standard_normal(buf.shape)
-    x = rng.standard_normal((int(rng.integers(2, 4)), C_in, L))
+    x = rng.standard_normal((int(rng.integers(2, 4)), C_in, L)).astype(dtype)
     return block, x
 
 
@@ -506,3 +506,103 @@ class TestAdamW:
         h = opt.hyperparams()
         assert h["lr"] == 1e-4 and h["weight_decay"] == 0.01
         assert h["beta1"] == 0.9 and h["beta2"] == 0.999 and h["eps"] == 1e-8
+
+
+def _eval_layers(dtype, seed):
+    """Every layer kind in eval mode with an input that suits it."""
+    rng = _rng(seed)
+    bn = BatchNorm1d(3, dtype=dtype)
+    bn.gamma.value[:] = rng.uniform(0.5, 1.5, 3)
+    bn.beta.value[:] = rng.standard_normal(3)
+    bn.running_mean[:] = rng.standard_normal(3)
+    bn.running_var[:] = rng.uniform(0.5, 1.5, 3)
+    conv = Conv1d(3, 4, 5, rng, dtype=dtype)
+    conv.bias.value[:] = rng.standard_normal(4)
+    seq = Sequential([("conv", Conv1d(3, 3, 3, rng, dtype=dtype)), ("bn", bn),
+                      ("relu", ReLU()), ("pool", MaxPool1d())])
+    x3 = rng.standard_normal((2, 3, 8)).astype(dtype)
+    layers = [
+        ("conv", conv, x3),
+        ("bn", bn, x3),
+        ("relu", ReLU(), x3),
+        ("pool", MaxPool1d(), x3),
+        ("flatten", Flatten(), x3),
+        ("linear", Linear(6, 4, rng, dtype=dtype), rng.standard_normal((5, 6)).astype(dtype)),
+        ("sequential", seq, x3),
+    ]
+    for projection in (False, True):
+        block, x = _random_resblock(seed + int(projection), projection, dtype)
+        layers.append((f"resblock projection={projection}", block, x))
+    for _, layer, _ in layers:
+        layer.set_training(False)
+    return layers
+
+
+class TestCacheFreeForward:
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_eval_mode_forward(self, dtype, tol, seed):
+        for name, layer, x in _eval_layers(dtype, 40 + seed):
+            want = layer.forward(x)
+            got = layer.forward(x, cache=False)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            scale = float(np.max(np.abs(want)))
+            assert np.max(np.abs(got - want)) <= tol * scale, name
+
+    def test_no_cache_and_nothing_written(self, cached_arrays):
+        for name, layer, x in _eval_layers(np.float64, 50):
+            buffers = [(n, b.copy()) for n, b in layer.named_buffers()]
+            x_before = x.copy()
+            layer.forward(x, cache=False)
+            assert cached_arrays(layer) == [], name
+            assert np.array_equal(x, x_before), name
+            for (n, before), (_, after) in zip(buffers, layer.named_buffers()):
+                assert np.array_equal(before, after), f"{name} {n}"
+
+    def test_training_mode_raises(self):
+        x = _rng(51).standard_normal((2, 2, 8))
+        for layer in (BatchNorm1d(2, dtype=np.float64),
+                      ResBlock(2, 2, _rng(52), dtype=np.float64),
+                      ResBlock(2, 3, _rng(53), dtype=np.float64),
+                      Sequential([("bn", BatchNorm1d(2, dtype=np.float64))])):
+            layer.set_training(True)
+            buffers = [b.copy() for _, b in layer.named_buffers()]
+            with pytest.raises(ValueError):
+                layer.forward(x, cache=False)
+            for before, (_, after) in zip(buffers, layer.named_buffers()):
+                assert np.array_equal(before, after)
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    @pytest.mark.parametrize("B,C,L", [(1, 1, 1), (1, 3, 2), (2, 2, 6), (3, 4, 17)])
+    def test_im2col_is_bitwise_pad_and_sliding_window(self, k, B, C, L):
+        from numpy.lib.stride_tricks import sliding_window_view
+
+        rng = _rng(k * 100 + B * 10 + L)
+        conv = Conv1d(C, 2, k, rng)
+        conv.bias.value[:] = rng.standard_normal(2)
+        x = rng.standard_normal((B, C, L)).astype(np.float32)
+        p = (k - 1) // 2
+        want = sliding_window_view(np.pad(x, ((0, 0), (0, 0), (p, p))), L, axis=2)
+        want = want.reshape(B, C * k, L)
+        y = conv.forward(x)
+        assert np.array_equal(conv._cols, want)
+        y_want = conv.weight.value.reshape(2, -1) @ want
+        y_want += conv.bias.value[:, None]
+        assert np.array_equal(y, y_want)
+        assert np.array_equal(conv.forward(x, cache=False), y)
+
+    def test_backward_uses_up_the_cache(self, cached_arrays):
+        rng = _rng(54)
+        seq = Sequential([
+            ("conv", Conv1d(2, 3, 3, rng, dtype=np.float64)),
+            ("bn", BatchNorm1d(3, dtype=np.float64)),
+            ("relu", ReLU()),
+            ("block", ResBlock(3, 4, rng, dtype=np.float64)),
+            ("pool", MaxPool1d()),
+            ("flatten", Flatten()),
+            ("fc", Linear(16, 5, rng, dtype=np.float64)),
+        ])
+        y = seq.forward(rng.standard_normal((2, 2, 8)))
+        assert cached_arrays(seq) != []
+        seq.backward(np.ones_like(y))
+        assert cached_arrays(seq) == []

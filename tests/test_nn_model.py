@@ -220,3 +220,97 @@ class TestWeightsFile:
         big = build_sync_model(16, 4, "coarse")
         with pytest.raises(ValueError):
             big.load_state(small.state_dict())
+
+
+def _trained_looking_model(head, M, N, dtype, seed):
+    """A model whose batch norms hold non-trivial running statistics and
+    affine parameters, so folding them into the convs is visible."""
+    model = build_sync_model(M, N, head, seed=seed, dtype=dtype)
+    rng = _rng(seed + 100)
+    for name, p in model.named_parameters():
+        if name.endswith("gamma"):
+            p.value[:] = rng.uniform(0.5, 1.5, p.shape)
+        elif name.endswith("beta") or (name.endswith("bias") and "conv" in name):
+            p.value[:] = 0.3 * rng.standard_normal(p.shape)
+    for name, buf in model.named_buffers():
+        if name.endswith("running_var"):
+            buf[:] = rng.uniform(0.5, 2.0, buf.shape)
+        else:
+            buf[:] = 0.3 * rng.standard_normal(buf.shape)
+    return model
+
+
+class TestInferenceForward:
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("head", ["coarse", "fine"])
+    def test_matches_eval_mode_forward(self, dtype, tol, head):
+        model = _trained_looking_model(head, 32, 8, dtype, seed=11)
+        X = _rng(12).standard_normal((24, 2, 256)).astype(dtype)
+        model.eval()
+        want = model.forward(X)
+        got = model.net.forward(X, cache=False)
+        assert got.dtype == want.dtype
+        assert np.max(np.abs(got - want)) <= tol * float(np.max(np.abs(want)))
+        assert np.array_equal(model.predict_classes(X, batch_size=5), np.argmax(want, axis=1))
+
+    def test_predict_classes_leaves_model_untouched(self):
+        model = _trained_looking_model("coarse", 32, 8, np.float32, seed=13)
+        X = _rng(14).standard_normal((6, 2, 256)).astype(np.float32)
+        X_before = X.copy()
+        state = {k: v.copy() for k, v in model.state_dict().items()}
+        model.predict_classes(X)
+        assert np.array_equal(X, X_before)
+        for k, v in model.state_dict().items():
+            assert np.array_equal(v, state[k]), k
+
+    def test_no_cached_arrays_after_train_step_or_prediction(self, cached_arrays):
+        from otfs_sync.nn import softmax_cross_entropy
+
+        model = build_sync_model(32, 8, "coarse", seed=15)
+        X = _rng(16).standard_normal((8, 2, 256)).astype(np.float32)
+        model.train()
+        logits = model.forward(X)
+        assert cached_arrays(model.net) != []
+        _, glogits = softmax_cross_entropy(logits, np.arange(8) % model.classes)
+        model.backward(glogits)
+        assert cached_arrays(model.net) == []
+        model.predict_classes(X, batch_size=3)
+        assert cached_arrays(model.net) == []
+
+
+class TestBenchTracerContract:
+    """The benchmark's span tracer wraps ``forward``/``backward`` taken from
+    each layer class's own ``__dict__`` and counts conv MACs from the shape
+    of the positional input of ``Conv1d.forward``."""
+
+    def test_layer_classes_define_their_own_passes(self):
+        from otfs_sync.nn import layers
+
+        for cls in (layers.Conv1d, layers.BatchNorm1d, layers.ReLU, layers.MaxPool1d,
+                    layers.Linear, layers.Flatten, layers.ResBlock):
+            assert "forward" in cls.__dict__ and "backward" in cls.__dict__, cls.__name__
+
+    def test_prediction_reaches_every_conv_with_its_input(self, monkeypatch):
+        from otfs_sync.nn import layers
+
+        seen = []
+        original = layers.Conv1d.__dict__["forward"]
+
+        def recording(*args, **kwargs):
+            conv, x = args[0], args[1]
+            seen.append((conv.out_channels, conv.kernel, x.shape))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(layers.Conv1d, "forward", recording)
+        M, N = 32, 8
+        model = build_sync_model(M, N, "coarse", seed=0)
+        model.predict_classes(np.zeros((3, 2, M * N), dtype=np.float32))
+        want, L = [], M * N
+        for _, cin, cout in TRUNK:
+            want += [(cout, 7, (3, cin, L)), (cout, 5, (3, cout, L)), (cout, 3, (3, cout, L))]
+            if cin != cout:
+                want.append((cout, 1, (3, cin, L)))
+            L //= 2
+        assert sorted(seen) == sorted(want)
+        conv_macs = sum(r.macs for r in flops_report(M, N, "coarse").rows if ".conv" in r.name)
+        assert sum(B * L * o * C * k for o, k, (B, C, L) in seen) == 3 * conv_macs
