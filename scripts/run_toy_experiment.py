@@ -40,8 +40,8 @@ from otfs_sync.metrics import (
     rows_to_csv,
     sweep,
 )
-from otfs_sync.nn.model import save_model
-from otfs_sync.pipeline import TrainHyper, model_metadata, train_coarse, train_fine, train_one_stage
+from otfs_sync.pipeline import (TrainHyper, save_training_result, train_coarse, train_fine,
+                                train_one_stage)
 
 
 def parse_args() -> argparse.Namespace:
@@ -92,11 +92,7 @@ def main() -> int:
                            epochs=args.epochs, seed=seeds[stage])
         t = time.perf_counter()
         result = trainer(hyper)
-        meta = model_metadata(result.model, hyper)
-        meta["best_epoch"] = float(result.report.best_epoch)
-        save_model(str(outdir / f"{stage}.weights.final"), result.model, meta)
-        best = result.restore_best()
-        save_model(str(outdir / f"{stage}.weights"), best, meta)
+        best = save_training_result(result, hyper, str(outdir / f"{stage}.weights"))
         (outdir / f"{stage}.train.jsonl").write_text(result.report.to_json_lines())
         print(f"{stage}: best acc {result.report.best_accuracy:.4f} "
               f"(epoch {result.report.best_epoch}) in {time.perf_counter() - t:.0f}s")

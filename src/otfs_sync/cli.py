@@ -27,8 +27,8 @@ from .metrics import (
     sweep,
 )
 from .nn.io import WeightsFormatError, load_tensors, split_metadata
-from .nn.model import HEAD_CODES, load_model, save_model
-from .pipeline import TrainHyper, model_metadata, train_coarse, train_fine, train_one_stage
+from .nn.model import HEAD_CODES, load_model
+from .pipeline import TrainHyper, save_training_result, train_coarse, train_fine, train_one_stage
 
 # the models each learned method needs, by SweepModels field
 _METHOD_HEADS = {"resnet2stage": ("coarse", "fine"), "resnet1stage": ("onestage",)}
@@ -108,21 +108,14 @@ def _cmd_train(args: argparse.Namespace) -> int:
             "coarse model geometry {M}x{N} does not match dataset {grid}")
         result = train_fine(coarse, train_ds, test_ds, hyper, log)
 
-    meta = model_metadata(result.model, hyper)
-    meta["best_epoch"] = float(result.report.best_epoch)
-    final_model = result.model
-    # best weights to the primary path, final-epoch weights alongside
-    final_path = args.out_weights + ".final"
-    save_model(final_path, final_model, meta)
-    result.restore_best()
-    save_model(args.out_weights, final_model, meta)
+    save_training_result(result, hyper, args.out_weights)
     report_path = args.report or args.out_weights + ".train.jsonl"
     with open(report_path, "w") as fh:
         fh.write(result.report.to_json_lines())
     print(
         f"best test accuracy {result.report.best_accuracy:.4f} "
         f"(epoch {result.report.best_epoch}); weights: {args.out_weights}, "
-        f"final: {final_path}, report: {report_path}"
+        f"final: {args.out_weights}.final, report: {report_path}"
     )
     return 0
 

@@ -21,6 +21,12 @@ File layout (little-endian), magic ``OTFSDS01``:
              | u64 record_count | u64 global_seed
     record:  u8 channel_id | f32 snr_db | i32 theta_raw | u32 theta_wrapped
              | u16 theta_t | u16 theta_d | M*N f32 reals | M*N f32 imags
+
+The packed structured dtype of :func:`record_dtype` is the single definition
+of a record: generation fills an array of it, the one streaming writer writes
+its rows, and the reader reads the body into one array of it.  A ``Dataset``
+built by :func:`generate_dataset` or :func:`read_dataset` has the fields of
+that array as its columns.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import BinaryIO, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -52,7 +58,6 @@ from .frames import (
 MAGIC = b"OTFSDS01"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<8sIIIIQQ")
-_REC_FIXED = struct.Struct("<BfiIHH")
 
 DEFAULT_SNR_GRID_DB = tuple(float(s) for s in range(-20, 27, 2))
 
@@ -121,6 +126,20 @@ def channel_table(cfg: DatasetConfig) -> list[tuple[int, ChannelProfile]]:
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate channel ids in configuration: {ids}")
     return table
+
+
+def record_dtype(MN: int) -> np.dtype:
+    """One record of an M*N-sample dataset, packed: 17 label bytes, then the
+    real and the imaginary plane of the window."""
+    return np.dtype([
+        ("channel_id", "u1"),
+        ("snr_db", "<f4"),
+        ("theta_raw", "<i4"),
+        ("theta_wrapped", "<u4"),
+        ("theta_t", "<u2"),
+        ("theta_d", "<u2"),
+        ("window", "<f4", (2, MN)),
+    ])
 
 
 def label_of(theta_raw: int, M: int, N: int) -> tuple[int, int, int]:
@@ -194,7 +213,9 @@ def synthesize_capture(
     )
 
 
-def _generate_records(cfg: DatasetConfig) -> Iterator[CaptureRecord]:
+def _generate_rows(cfg: DatasetConfig) -> Iterator[tuple]:
+    """Every capture of ``cfg`` in file order, each as one record row: its
+    values in the field order of :func:`record_dtype`."""
     MN = cfg.frame.grid_size
     grid = np.asarray(cfg.snr_grid_db, dtype=np.float64)
     for channel_id, profile in channel_table(cfg):
@@ -202,7 +223,9 @@ def _generate_records(cfg: DatasetConfig) -> Iterator[CaptureRecord]:
             rng = per_record_rng(cfg.global_seed, channel_id, i)
             theta = int(rng.integers(-MN // 2, MN // 2))
             snr = float(grid[rng.integers(len(grid))])
-            yield synthesize_capture(cfg, profile, channel_id, snr, theta, rng)
+            rec = synthesize_capture(cfg, profile, channel_id, snr, theta, rng)
+            yield (rec.channel_id, rec.snr_db, rec.theta_raw, rec.theta_wrapped,
+                   rec.theta_t, rec.theta_d, rec.window)
 
 
 @dataclass
@@ -223,17 +246,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.windows.shape[0]
-
-    def record(self, i: int) -> CaptureRecord:
-        return CaptureRecord(
-            window=self.windows[i],
-            channel_id=int(self.channel_id[i]),
-            snr_db=float(self.snr_db[i]),
-            theta_raw=int(self.theta_raw[i]),
-            theta_wrapped=int(self.theta_wrapped[i]),
-            theta_t=int(self.theta_t[i]),
-            theta_d=int(self.theta_d[i]),
-        )
 
     def subset(self, idx: np.ndarray) -> "Dataset":
         return Dataset(
@@ -265,95 +277,56 @@ class Dataset:
         )
 
 
+def _dataset(M: int, N: int, L_CP: int, global_seed: int, recs: np.ndarray) -> Dataset:
+    """A dataset whose columns are the fields of the record array ``recs``."""
+    return Dataset(
+        M=int(M), N=int(N), L_CP=int(L_CP), global_seed=int(global_seed),
+        windows=recs["window"],
+        **{name: recs[name] for name in recs.dtype.names if name != "window"},
+    )
+
+
 def generate_dataset(cfg: DatasetConfig) -> Dataset:
     """Materialize a whole dataset in memory (use the streaming writer for
     default-scale datasets: 90k records at M=256, N=64 is ~12 GB)."""
-    n = cfg.record_count
-    MN = cfg.frame.grid_size
-    ds = _empty_dataset(cfg, n, MN)
-    for i, rec in enumerate(_generate_records(cfg)):
-        _store(ds, i, rec)
-    return ds
+    recs = np.empty(cfg.record_count, dtype=record_dtype(cfg.frame.grid_size))
+    for i, row in enumerate(_generate_rows(cfg)):
+        recs[i] = row
+    f = cfg.frame
+    return _dataset(f.M, f.N, f.L_CP, cfg.global_seed, recs)
 
 
-def _empty_dataset(cfg: DatasetConfig, n: int, MN: int) -> Dataset:
-    return Dataset(
-        M=cfg.frame.M,
-        N=cfg.frame.N,
-        L_CP=cfg.frame.L_CP,
-        global_seed=cfg.global_seed,
-        windows=np.empty((n, 2, MN), dtype=np.float32),
-        channel_id=np.empty(n, dtype=np.uint8),
-        snr_db=np.empty(n, dtype=np.float32),
-        theta_raw=np.empty(n, dtype=np.int32),
-        theta_wrapped=np.empty(n, dtype=np.uint32),
-        theta_t=np.empty(n, dtype=np.uint16),
-        theta_d=np.empty(n, dtype=np.uint16),
-    )
-
-
-def _store(ds: Dataset, i: int, rec: CaptureRecord) -> None:
-    ds.windows[i] = rec.window
-    ds.channel_id[i] = rec.channel_id
-    ds.snr_db[i] = rec.snr_db
-    ds.theta_raw[i] = rec.theta_raw
-    ds.theta_wrapped[i] = rec.theta_wrapped
-    ds.theta_t[i] = rec.theta_t
-    ds.theta_d[i] = rec.theta_d
-
-
-def _write_record(fh: BinaryIO, rec: CaptureRecord) -> None:
-    fh.write(
-        _REC_FIXED.pack(
-            rec.channel_id,
-            rec.snr_db,
-            rec.theta_raw,
-            rec.theta_wrapped,
-            rec.theta_t,
-            rec.theta_d,
-        )
-    )
-    fh.write(rec.window[0].astype("<f4", copy=False).tobytes())
-    fh.write(rec.window[1].astype("<f4", copy=False).tobytes())
+def _write_records(path: str, M: int, N: int, L_CP: int, count: int,
+                   global_seed: int, rows: Iterable[tuple]) -> None:
+    """Write the header, then ``rows`` (values in record field order) one
+    record at a time, so the writer holds one record, not the dataset."""
+    rec = np.empty(1, dtype=record_dtype(M * N))
+    with open(path, "wb") as fh:
+        fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, M, N, L_CP, count, global_seed))
+        for row in rows:
+            rec[0] = row
+            fh.write(rec)
 
 
 def write_dataset(cfg: DatasetConfig, path: str) -> int:
     """Generate and stream a dataset straight to disk; returns record count."""
-    n = cfg.record_count
-    with open(path, "wb") as fh:
-        fh.write(
-            _HEADER.pack(
-                MAGIC,
-                FORMAT_VERSION,
-                cfg.frame.M,
-                cfg.frame.N,
-                cfg.frame.L_CP,
-                n,
-                cfg.global_seed,
-            )
-        )
-        for rec in _generate_records(cfg):
-            _write_record(fh, rec)
+    n, f = cfg.record_count, cfg.frame
+    _write_records(path, f.M, f.N, f.L_CP, n, cfg.global_seed, _generate_rows(cfg))
     return n
 
 
 def save_dataset(ds: Dataset, path: str) -> None:
     """Write an in-memory dataset in the standard binary layout."""
-    with open(path, "wb") as fh:
-        fh.write(
-            _HEADER.pack(
-                MAGIC, FORMAT_VERSION, ds.M, ds.N, ds.L_CP, len(ds), ds.global_seed
-            )
-        )
-        for i in range(len(ds)):
-            _write_record(fh, ds.record(i))
+    columns = (ds.channel_id, ds.snr_db, ds.theta_raw, ds.theta_wrapped,
+               ds.theta_t, ds.theta_d, ds.windows)
+    _write_records(path, ds.M, ds.N, ds.L_CP, len(ds), ds.global_seed, zip(*columns))
 
 
 def read_dataset(path: str) -> Dataset:
     """Load a dataset file, validating magic, version, and length.
 
-    Each record's planes are read straight into the window array, so a read
-    allocates the dataset once, not the file bytes plus a copy of them."""
+    The body is read straight into one record array, so a read allocates the
+    dataset once, not the file bytes plus a copy of them."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) < _HEADER.size:
@@ -363,33 +336,14 @@ def read_dataset(path: str) -> Dataset:
             raise DataFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
         if version != FORMAT_VERSION:
             raise DataFormatError(f"{path}: unsupported format version {version}")
-        MN = M * N
-        rec_bytes = _REC_FIXED.size + 2 * 4 * MN
+        dtype = record_dtype(M * N)
         found = os.fstat(fh.fileno()).st_size - _HEADER.size
-        if found != count * rec_bytes:
+        if found != count * dtype.itemsize:
             raise DataFormatError(
                 f"{path}: truncated or oversized: header promises {count} records "
-                f"({count * rec_bytes} bytes), found {found}"
+                f"({count * dtype.itemsize} bytes), found {found}"
             )
-        ds = Dataset(
-            M=int(M), N=int(N), L_CP=int(L_CP), global_seed=int(seed),
-            windows=np.empty((count, 2, MN), dtype="<f4"),
-            channel_id=np.empty(count, dtype=np.uint8),
-            snr_db=np.empty(count, dtype=np.float32),
-            theta_raw=np.empty(count, dtype=np.int32),
-            theta_wrapped=np.empty(count, dtype=np.uint32),
-            theta_t=np.empty(count, dtype=np.uint16),
-            theta_d=np.empty(count, dtype=np.uint16),
-        )
-        for i in range(count):
-            fixed = fh.read(_REC_FIXED.size)
-            if len(fixed) != _REC_FIXED.size or fh.readinto(ds.windows[i]) != 8 * MN:
-                raise DataFormatError(f"{path}: record {i} is truncated")
-            cid, snr, t_raw, t_wrap, t_t, t_d = _REC_FIXED.unpack(fixed)
-            ds.channel_id[i] = cid
-            ds.snr_db[i] = snr
-            ds.theta_raw[i] = t_raw
-            ds.theta_wrapped[i] = t_wrap
-            ds.theta_t[i] = t_t
-            ds.theta_d[i] = t_d
-    return ds
+        recs = np.empty(count, dtype=dtype)
+        if fh.readinto(recs) != recs.nbytes:
+            raise DataFormatError(f"{path}: file shrank while it was read")
+    return _dataset(M, N, L_CP, seed, recs)

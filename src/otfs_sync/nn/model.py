@@ -149,7 +149,11 @@ def load_model(path: str) -> tuple[SyncModel, dict[str, float]]:
     if head is None:
         raise WeightsFormatError(f"{path}: unknown head code {meta['head_code']}")
     model = build_sync_model(int(meta["M"]), int(meta["N"]), head)
-    model.load_state(state)
+    try:
+        model.load_state(state)
+    except (KeyError, ValueError) as exc:
+        # tensors that do not fit the file's own meta.M/meta.N/meta.head_code
+        raise WeightsFormatError(f"{path}: {exc.args[0]}") from exc
     return model, meta
 
 

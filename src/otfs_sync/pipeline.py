@@ -25,7 +25,7 @@ import numpy as np
 from .dataset import Dataset
 from .estimate import SyncEstimate, combine_offset
 from .nn.loss import softmax_cross_entropy
-from .nn.model import HEAD_CODES, SyncModel, build_sync_model
+from .nn.model import HEAD_CODES, SyncModel, build_sync_model, save_model
 from .nn.optim import AdamW
 
 
@@ -249,3 +249,15 @@ def model_metadata(model: SyncModel, hyper: TrainHyper | None = None,
     if optimizer is not None:
         meta.update({f"adamw_{k}": v for k, v in optimizer.hyperparams().items()})
     return meta
+
+
+def save_training_result(result: TrainResult, hyper: TrainHyper, path: str) -> SyncModel:
+    """Save the final-epoch weights to ``<path>.final``, then restore the best
+    weights into ``result.model`` and save them to ``path``.  Both files carry
+    :func:`model_metadata` plus ``best_epoch``.  Returns the best model."""
+    meta = model_metadata(result.model, hyper)
+    meta["best_epoch"] = float(result.report.best_epoch)
+    save_model(path + ".final", result.model, meta)
+    best = result.restore_best()
+    save_model(path, best, meta)
+    return best

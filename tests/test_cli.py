@@ -226,6 +226,23 @@ class TestExitCodes:
             "--fine-weights", str(workdir["fine"]),
         ]) == 4
 
+    def test_weights_not_fitting_their_metadata_is_3(self, workdir, capsys):
+        from otfs_sync.nn.io import save_tensors
+        from otfs_sync.nn.model import HEAD_CODES, build_sync_model
+
+        path = workdir["root"] / "misfit.otfsnn"
+        tensors = dict(build_sync_model(16, 4, "onestage").state_dict())
+        tensors.update({"meta.M": np.float32(8), "meta.N": np.float32(4),
+                        "meta.head_code": np.float32(HEAD_CODES["onestage"])})
+        save_tensors(str(path), tensors)
+        assert main([
+            "eval", "--method", "resnet1stage",
+            "--dataset", str(workdir["dataset"]),
+            "--weights", str(path),
+        ]) == 3
+        err = capsys.readouterr().err
+        assert "data format error" in err and "misfit.otfsnn" in err
+
     def test_info_needs_exactly_one_input_is_2(self, workdir):
         assert main(["info"]) == 2
         assert main(["info", "--dataset", str(workdir["dataset"]),

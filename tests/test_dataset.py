@@ -20,6 +20,7 @@ from otfs_sync.dataset import (
     label_of,
     per_record_rng,
     read_dataset,
+    record_dtype,
     save_dataset,
     synthesize_capture,
     write_dataset,
@@ -281,3 +282,78 @@ class TestFileFormat:
         path.write_bytes(bytes(raw))
         with pytest.raises(DataFormatError):
             read_dataset(path)
+
+    def test_rejects_file_shorter_than_header(self, tmp_path):
+        path = tmp_path / "short.otfsds"
+        write_dataset(_toy_config(samples_per_channel=1), path)
+        path.write_bytes(path.read_bytes()[:39])
+        with pytest.raises(DataFormatError, match="shorter than the dataset header"):
+            read_dataset(path)
+
+    def _oversized(self, tmp_path):
+        path = tmp_path / "over.otfsds"
+        write_dataset(_toy_config(samples_per_channel=2), path)
+        path.write_bytes(path.read_bytes() + b"\x00" * 5)
+        return path
+
+    def test_rejects_trailing_bytes(self, tmp_path):
+        with pytest.raises(DataFormatError, match="truncated or oversized"):
+            read_dataset(self._oversized(tmp_path))
+
+    def test_info_on_oversized_file_exits_3(self, tmp_path, capsys):
+        from otfs_sync.cli import main
+
+        assert main(["info", "--dataset", str(self._oversized(tmp_path))]) == 3
+        assert "data format error" in capsys.readouterr().err
+
+    def test_rejects_count_past_the_body(self, tmp_path):
+        path = tmp_path / "count.otfsds"
+        write_dataset(_toy_config(samples_per_channel=3), path)
+        raw = bytearray(path.read_bytes())
+        raw[24:32] = struct.pack("<Q", 4)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataFormatError, match="promises 4 records"):
+            read_dataset(path)
+
+
+class TestRecordLayout:
+    def test_itemsize_and_offsets(self):
+        MN = TOY.grid_size
+        dt = record_dtype(MN)
+        assert dt.itemsize == struct.calcsize("<BfiIHH") + 8 * MN
+        offsets = [dt.fields[name][1] for name in dt.names]
+        assert offsets == [0, 1, 5, 9, 13, 15, 17]
+        assert dt.names == ("channel_id", "snr_db", "theta_raw", "theta_wrapped",
+                            "theta_t", "theta_d", "window")
+
+    def test_columns_keep_their_dtypes(self, tmp_path):
+        cfg = _toy_config(samples_per_channel=3)
+        path = tmp_path / "d.otfsds"
+        write_dataset(cfg, path)
+        want = {"windows": np.float32, "channel_id": np.uint8, "snr_db": np.float32,
+                "theta_raw": np.int32, "theta_wrapped": np.uint32,
+                "theta_t": np.uint16, "theta_d": np.uint16}
+        for ds in (generate_dataset(cfg), read_dataset(path)):
+            assert ds.windows.shape == (3, 2, TOY.grid_size)
+            for name, dtype in want.items():
+                assert getattr(ds, name).dtype == dtype, name
+
+    def test_save_of_read_is_byte_identical(self, tmp_path):
+        cfg = _toy_config(channels=(AWGN_PROFILE, EVA_PROFILE), samples_per_channel=5)
+        p, q = tmp_path / "p.otfsds", tmp_path / "q.otfsds"
+        write_dataset(cfg, p)
+        save_dataset(read_dataset(p), q)
+        assert q.read_bytes() == p.read_bytes()
+
+    def test_split_half_round_trips(self, tmp_path):
+        # split() columns are copies, not views into a record array
+        cfg = _toy_config(channels=(AWGN_PROFILE, EVA_PROFILE), samples_per_channel=5)
+        _, test = generate_dataset(cfg).split(0.6)
+        path = tmp_path / "half.otfsds"
+        save_dataset(test, path)
+        back = read_dataset(path)
+        assert (back.M, back.N, back.L_CP, back.global_seed) == (
+            test.M, test.N, test.L_CP, test.global_seed)
+        for name in ("windows", "channel_id", "snr_db", "theta_raw", "theta_wrapped",
+                     "theta_t", "theta_d"):
+            assert np.array_equal(getattr(back, name), getattr(test, name)), name

@@ -215,6 +215,22 @@ class TestWeightsFile:
         with pytest.raises(WeightsFormatError):
             load_model(str(path))
 
+    def test_load_model_rejects_tensors_that_do_not_fit_the_metadata(self, tmp_path):
+        # one-stage 16x4 tensors stored under meta.M=8, meta.N=4
+        state = build_sync_model(16, 4, "onestage").state_dict()
+        meta = {"meta.M": np.float32(8), "meta.N": np.float32(4),
+                "meta.head_code": np.float32(HEAD_CODES["onestage"])}
+        shape = tmp_path / "shape.otfsnn"
+        save_tensors(str(shape), {**state, **meta})
+        with pytest.raises(WeightsFormatError, match="shape.otfsnn: tensor 'fc.weight'"):
+            load_model(str(shape))
+        missing = tmp_path / "missing.otfsnn"
+        small = build_sync_model(8, 4, "onestage").state_dict()
+        del small["fc.bias"]
+        save_tensors(str(missing), {**small, **meta})
+        with pytest.raises(WeightsFormatError, match="missing.otfsnn: .*'fc.bias'"):
+            load_model(str(missing))
+
     def test_load_state_shape_mismatch(self, tmp_path):
         small = build_sync_model(8, 4, "coarse")
         big = build_sync_model(16, 4, "coarse")
