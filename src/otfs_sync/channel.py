@@ -8,7 +8,8 @@ rotation nu_max*cos(alpha) with uniform random alpha and initial phase.  A
 realization is held fixed while one capture passes through it (block fading).
 
 SNR is defined at the receiver input: signal power is measured on the faded
-signal, and the i.i.d. complex Gaussian noise variance is set from it.
+signal that reaches the receive window, and the i.i.d. complex Gaussian noise
+variance is set from it.
 """
 
 from __future__ import annotations
@@ -141,23 +142,30 @@ def realize_channel(
     )
 
 
-def apply_fading(x: np.ndarray, ch: ChannelRealization) -> np.ndarray:
+def apply_fading(x: np.ndarray, ch: ChannelRealization, start: int = 0) -> np.ndarray:
     """Pass a sample stream through a frozen tapped-delay-line realization.
 
-    y[k] = sum_i gains[i] * exp(1j*(2*pi*doppler[i]*k/fs + phases[i])) * x[k - taps[i]]
+    y[k] = sum_i gains[i] * exp(1j*(2*pi*doppler[i]*(start+k)/fs + phases[i])) * x[k - taps[i]]
 
     with x[k] = 0 for k < 0; the output has the same length as the input.
+    ``start`` is the absolute sample index of ``x[0]``, so fading a slice
+    ``x[lo:hi]`` with ``start=lo`` rotates each sample as fading the whole
+    stream would: its outputs from index ``max(taps)`` on are bitwise equal to
+    those of the whole stream at ``lo + max(taps)`` onward.  A zero-Doppler
+    path rotates by the constant ``exp(1j*phases[i])``.
     """
     x = np.asarray(x)
     n = x.size
-    k = np.arange(n)
+    k = np.arange(start, start + n)
     y = np.zeros(n, dtype=np.complex128)
     for tap, gain, nu, phi in zip(ch.taps, ch.gains, ch.doppler_hz, ch.phases):
-        rot = np.exp(1j * (2.0 * np.pi * nu * k / ch.sample_rate_hz + phi))
-        if tap == 0:
-            y += gain * rot * x
-        elif tap < n:
-            y[tap:] += gain * rot[tap:] * x[: n - tap]
+        if tap >= n:
+            continue
+        if nu == 0.0:
+            rot = np.exp(1j * phi)
+        else:
+            rot = np.exp(1j * (2.0 * np.pi * nu * k[tap:] / ch.sample_rate_hz + phi))
+        y[tap:] += gain * rot * x[: n - tap]
     return y
 
 

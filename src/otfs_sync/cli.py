@@ -27,7 +27,7 @@ from .metrics import (
     sweep,
 )
 from .nn.io import WeightsFormatError, load_tensors, split_metadata
-from .nn.model import HEAD_CODES, load_model
+from .nn.model import check_weights_meta, load_model
 from .pipeline import TrainHyper, save_training_result, train_coarse, train_fine, train_one_stage
 
 # the models each learned method needs, by SweepModels field
@@ -234,6 +234,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
     if args.dataset:
         ds = read_dataset(args.dataset)
         print(f"dataset {args.dataset}")
+        print(f"  version      {ds.format_version}")
         print(f"  grid         {ds.M} x {ds.N} (window {ds.M * ds.N} samples)")
         print(f"  L_CP         {ds.L_CP}")
         print(f"  records      {len(ds)}")
@@ -243,13 +244,11 @@ def _cmd_info(args: argparse.Namespace) -> int:
             snrs = np.unique(ds.snr_db[ds.channel_id == cid])
             print(f"  channel {cid}: {cnt} records, SNR {snrs.min():g}..{snrs.max():g} dB")
     else:
-        tensors = load_tensors(args.weights)
-        state, meta = split_metadata(tensors)
+        state, meta = split_metadata(load_tensors(args.weights))
+        head, M, N = check_weights_meta(args.weights, meta)
         print(f"weights {args.weights}")
-        code = int(meta.get("head_code", -1))
-        head = next((h for h, c in HEAD_CODES.items() if c == code), "?")
         print(f"  head     {head}")
-        print(f"  geometry M={int(meta.get('M', 0))} N={int(meta.get('N', 0))}")
+        print(f"  geometry M={M} N={N}")
         n_params = sum(v.size for k, v in state.items() if "running_" not in k)
         print(f"  tensors  {len(state)} ({n_params:,} parameter scalars)")
         for key in sorted(meta):

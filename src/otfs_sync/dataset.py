@@ -7,15 +7,19 @@ offset theta.  The transmitted stream around the frame of interest is
 
 where the fillers are fresh pilot-free OTFS data segments (CP stripped) so
 the window never sees silence, and the optional preamble sits immediately
-before the first CP.  After fading and noise, a window of M*N samples is cut
-starting ``theta`` samples after the payload start, so theta = 0 is perfect
-alignment and positive theta is a late capture.
+before the first CP.  The receive window is the M*N samples starting
+``theta`` samples after the payload start, so theta = 0 is perfect alignment
+and positive theta is a late capture.  Only the window and the max(taps)
+samples of delay history before it pass through the channel, with each
+sample's Doppler rotation at its absolute index in the stream, so a
+noiseless window equals the one cut from the whole faded stream.  Noise is
+added to the window alone, at an SNR measured on the faded window.
 
 Every record is generated from its own RNG stream keyed by
 (global_seed, channel_id, record_index), which makes datasets reproducible
 byte-for-byte and records independent of generation order.
 
-File layout (little-endian), magic ``OTFSDS01``:
+File layout (little-endian), magic ``OTFSDS01``, format version 2:
 
     header:  8s magic | u32 version | u32 M | u32 N | u32 L_CP
              | u64 record_count | u64 global_seed
@@ -27,6 +31,11 @@ of a record: generation fills an array of it, the one streaming writer writes
 its rows, and the reader reads the body into one array of it.  A ``Dataset``
 built by :func:`generate_dataset` or :func:`read_dataset` has the fields of
 that array as its columns.
+
+Version 1 files hold the same layout, but their channel faded the whole
+stream and their noise power was set from it, so their noisy windows differ
+from version 2's.  :func:`read_dataset` reads both versions, and a dataset
+keeps its file's version in ``format_version``.
 """
 
 from __future__ import annotations
@@ -56,7 +65,8 @@ from .frames import (
 )
 
 MAGIC = b"OTFSDS01"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+READABLE_VERSIONS = (1, 2)
 _HEADER = struct.Struct("<8sIIIIQQ")
 
 DEFAULT_SNR_GRID_DB = tuple(float(s) for s in range(-20, 27, 2))
@@ -175,8 +185,8 @@ def synthesize_capture(
     theta_raw: int,
     rng: np.random.Generator,
 ) -> CaptureRecord:
-    """Build the transmit stream, push it through one channel realization,
-    add noise, and cut the offset window."""
+    """Build the transmit stream, push the offset window (plus the channel's
+    delay history) through one channel realization, and add noise to it."""
     frame = cfg.frame
     MN = frame.grid_size
     if not -MN // 2 <= theta_raw < MN // 2:
@@ -194,12 +204,11 @@ def synthesize_capture(
     stream = np.concatenate([prepend, pre, np.tile(block, cfg.blocks_per_frame), append])
 
     ch = realize_channel(profile, cfg.sample_rate_hz, rng)
-    faded = apply_fading(stream, ch)
-    noisy = apply_awgn(faded, snr_db, rng)
-
-    payload_start = MN + pre.size + frame.L_CP
-    start = payload_start + theta_raw
-    win = noisy[start : start + MN]
+    start = MN + pre.size + frame.L_CP + theta_raw
+    # the window depends on the stream from max(taps) samples before it on
+    lo = max(start - int(ch.taps.max()), 0)
+    faded = apply_fading(stream[lo : start + MN], ch, start=lo)
+    win = apply_awgn(faded[start - lo :], snr_db, rng)
     wrapped, theta_t, theta_d = label_of(theta_raw, frame.M, frame.N)
     planes = np.stack([win.real, win.imag]).astype(np.float32)
     return CaptureRecord(
@@ -243,6 +252,7 @@ class Dataset:
     theta_wrapped: np.ndarray  # uint32 (n,)
     theta_t: np.ndarray        # uint16 (n,)
     theta_d: np.ndarray        # uint16 (n,)
+    format_version: int = FORMAT_VERSION
 
     def __len__(self) -> int:
         return self.windows.shape[0]
@@ -250,6 +260,7 @@ class Dataset:
     def subset(self, idx: np.ndarray) -> "Dataset":
         return Dataset(
             M=self.M, N=self.N, L_CP=self.L_CP, global_seed=self.global_seed,
+            format_version=self.format_version,
             windows=self.windows[idx],
             channel_id=self.channel_id[idx],
             snr_db=self.snr_db[idx],
@@ -277,11 +288,12 @@ class Dataset:
         )
 
 
-def _dataset(M: int, N: int, L_CP: int, global_seed: int, recs: np.ndarray) -> Dataset:
+def _dataset(M: int, N: int, L_CP: int, global_seed: int, recs: np.ndarray,
+             version: int = FORMAT_VERSION) -> Dataset:
     """A dataset whose columns are the fields of the record array ``recs``."""
     return Dataset(
         M=int(M), N=int(N), L_CP=int(L_CP), global_seed=int(global_seed),
-        windows=recs["window"],
+        format_version=int(version), windows=recs["window"],
         **{name: recs[name] for name in recs.dtype.names if name != "window"},
     )
 
@@ -296,13 +308,13 @@ def generate_dataset(cfg: DatasetConfig) -> Dataset:
     return _dataset(f.M, f.N, f.L_CP, cfg.global_seed, recs)
 
 
-def _write_records(path: str, M: int, N: int, L_CP: int, count: int,
+def _write_records(path: str, version: int, M: int, N: int, L_CP: int, count: int,
                    global_seed: int, rows: Iterable[tuple]) -> None:
     """Write the header, then ``rows`` (values in record field order) one
     record at a time, so the writer holds one record, not the dataset."""
     rec = np.empty(1, dtype=record_dtype(M * N))
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, M, N, L_CP, count, global_seed))
+        fh.write(_HEADER.pack(MAGIC, version, M, N, L_CP, count, global_seed))
         for row in rows:
             rec[0] = row
             fh.write(rec)
@@ -311,15 +323,18 @@ def _write_records(path: str, M: int, N: int, L_CP: int, count: int,
 def write_dataset(cfg: DatasetConfig, path: str) -> int:
     """Generate and stream a dataset straight to disk; returns record count."""
     n, f = cfg.record_count, cfg.frame
-    _write_records(path, f.M, f.N, f.L_CP, n, cfg.global_seed, _generate_rows(cfg))
+    _write_records(path, FORMAT_VERSION, f.M, f.N, f.L_CP, n, cfg.global_seed,
+                   _generate_rows(cfg))
     return n
 
 
 def save_dataset(ds: Dataset, path: str) -> None:
-    """Write an in-memory dataset in the standard binary layout."""
+    """Write an in-memory dataset in the standard binary layout, under the
+    format version its records were generated with."""
     columns = (ds.channel_id, ds.snr_db, ds.theta_raw, ds.theta_wrapped,
                ds.theta_t, ds.theta_d, ds.windows)
-    _write_records(path, ds.M, ds.N, ds.L_CP, len(ds), ds.global_seed, zip(*columns))
+    _write_records(path, ds.format_version, ds.M, ds.N, ds.L_CP, len(ds),
+                   ds.global_seed, zip(*columns))
 
 
 def read_dataset(path: str) -> Dataset:
@@ -334,7 +349,7 @@ def read_dataset(path: str) -> Dataset:
         magic, version, M, N, L_CP, count, seed = _HEADER.unpack(head)
         if magic != MAGIC:
             raise DataFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        if version != FORMAT_VERSION:
+        if version not in READABLE_VERSIONS:
             raise DataFormatError(f"{path}: unsupported format version {version}")
         dtype = record_dtype(M * N)
         found = os.fstat(fh.fileno()).st_size - _HEADER.size
@@ -346,4 +361,4 @@ def read_dataset(path: str) -> Dataset:
         recs = np.empty(count, dtype=dtype)
         if fh.readinto(recs) != recs.nbytes:
             raise DataFormatError(f"{path}: file shrank while it was read")
-    return _dataset(M, N, L_CP, seed, recs)
+    return _dataset(M, N, L_CP, seed, recs, version)

@@ -100,6 +100,15 @@ class SyncModel:
             b[...] = state[name].astype(b.dtype)
 
 
+def check_geometry(M: int, N: int) -> None:
+    """Raise ValueError unless the trunk can take an M x N window: M, N >= 1
+    and M*N divisible by 8."""
+    if M < 1 or N < 1:
+        raise ValueError(f"grid M={M} N={N} needs M, N >= 1")
+    if M * N % 8 != 0:
+        raise ValueError(f"M*N={M * N} must be divisible by 8 (three halving pools)")
+
+
 def build_sync_model(
     M: int,
     N: int,
@@ -108,9 +117,8 @@ def build_sync_model(
     dtype=np.float32,
 ) -> SyncModel:
     """Instantiate the classifier for an M x N grid with the given head."""
+    check_geometry(M, N)
     MN = M * N
-    if MN % 8 != 0:
-        raise ValueError(f"M*N={MN} must be divisible by 8 (three halving pools)")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     children: list[tuple[str, object]] = []
     for i, (name, cin, cout) in enumerate(TRUNK, start=1):
@@ -136,19 +144,33 @@ def save_model(path: str, model: SyncModel, metadata: dict[str, float] | None = 
     save_tensors(path, tensors)
 
 
+def check_weights_meta(path: str, meta: dict[str, float]) -> tuple[str, int, int]:
+    """The (head, M, N) a weights file's metadata names.  A missing entry, an
+    unknown head code or a grid the trunk cannot take raises
+    WeightsFormatError naming ``path``."""
+    from .io import WeightsFormatError
+
+    for key in ("M", "N", "head_code"):
+        if key not in meta:
+            raise WeightsFormatError(f"{path}: missing meta.{key} entry")
+    head = {v: k for k, v in HEAD_CODES.items()}.get(meta["head_code"])
+    if head is None:
+        raise WeightsFormatError(f"{path}: unknown head code {meta['head_code']}")
+    try:
+        M, N = int(meta["M"]), int(meta["N"])
+        check_geometry(M, N)
+    except (ValueError, OverflowError) as exc:
+        raise WeightsFormatError(f"{path}: {exc}") from exc
+    return head, M, N
+
+
 def load_model(path: str) -> tuple[SyncModel, dict[str, float]]:
     """Rebuild a classifier from a weights file; returns (model, metadata)."""
     from .io import WeightsFormatError, load_tensors, split_metadata
 
     state, meta = split_metadata(load_tensors(path))
-    for key in ("M", "N", "head_code"):
-        if key not in meta:
-            raise WeightsFormatError(f"{path}: missing meta.{key} entry")
-    code_to_head = {v: k for k, v in HEAD_CODES.items()}
-    head = code_to_head.get(int(meta["head_code"]))
-    if head is None:
-        raise WeightsFormatError(f"{path}: unknown head code {meta['head_code']}")
-    model = build_sync_model(int(meta["M"]), int(meta["N"]), head)
+    head, M, N = check_weights_meta(path, meta)
+    model = build_sync_model(M, N, head)
     try:
         model.load_state(state)
     except (KeyError, ValueError) as exc:

@@ -112,6 +112,22 @@ class TestFading:
             assert got.size == x.size
             assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
 
+    @pytest.mark.parametrize("profile", [AWGN_PROFILE, RAYLEIGH_PROFILE, EVA_PROFILE],
+                             ids=lambda p: p.label)
+    def test_slice_with_start_matches_whole_stream(self, profile):
+        # fading x[lo:hi] from absolute index lo reproduces the whole-stream
+        # output bitwise once the slice holds max(taps) samples of history
+        rng = _rng(14)
+        x = rng.standard_normal(3000) + 1j * rng.standard_normal(3000)
+        for trial in range(4):
+            ch = realize_channel(profile, FS, rng)
+            max_tap = int(ch.taps.max())
+            whole = apply_fading(x, ch)
+            lo = int(rng.integers(0, 1500))
+            hi = int(rng.integers(lo + max_tap + 1, x.size + 1))
+            part = apply_fading(x[lo:hi], ch, start=lo)
+            assert part[max_tap:].tobytes() == whole[lo + max_tap : hi].tobytes()
+
     def test_awgn_realization_passes_through(self):
         x = _rng(12).standard_normal(64) + 1j * _rng(13).standard_normal(64)
         ch = realize_channel(AWGN_PROFILE, FS, _rng())

@@ -77,6 +77,7 @@ class TestHappyPath:
         assert main(["info", "--dataset", str(workdir["dataset"])]) == 0
         out = capsys.readouterr().out
         assert "8 x 4" in out and "120" in out
+        assert "version      2" in out
 
     def test_info_weights(self, workdir, capsys):
         assert main(["info", "--weights", str(workdir["coarse"])]) == 0
@@ -242,6 +243,25 @@ class TestExitCodes:
         ]) == 3
         err = capsys.readouterr().err
         assert "data format error" in err and "misfit.otfsnn" in err
+
+    @pytest.mark.parametrize("command", ["eval", "info"])
+    def test_weights_geometry_the_trunk_cannot_take_is_3(self, workdir, capsys, command):
+        # meta.M * meta.N = 15 is not divisible by the trunk's three halvings
+        from otfs_sync.nn.io import save_tensors
+        from otfs_sync.nn.model import HEAD_CODES, build_sync_model
+
+        path = workdir["root"] / "oddgrid.otfsnn"
+        tensors = dict(build_sync_model(8, 4, "coarse").state_dict())
+        tensors.update({"meta.M": np.float32(5), "meta.N": np.float32(3),
+                        "meta.head_code": np.float32(HEAD_CODES["coarse"])})
+        save_tensors(str(path), tensors)
+        argv = {"eval": ["eval", "--method", "resnet2stage",
+                         "--dataset", str(workdir["dataset"]),
+                         "--weights", str(path), "--fine-weights", str(path)],
+                "info": ["info", "--weights", str(path)]}[command]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "data format error" in err and "M*N=15" in err
 
     def test_info_needs_exactly_one_input_is_2(self, workdir):
         assert main(["info"]) == 2

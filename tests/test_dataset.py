@@ -1,5 +1,6 @@
 """Capture synthesis, labeling, determinism, and the on-disk record format."""
 
+import hashlib
 import io
 import struct
 
@@ -8,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otfs_sync.channel import AWGN_PROFILE, EVA_PROFILE, RAYLEIGH_PROFILE
+from otfs_sync.channel import (
+    AWGN_PROFILE,
+    EVA_PROFILE,
+    RAYLEIGH_PROFILE,
+    apply_fading,
+    realize_channel,
+)
 from otfs_sync.dataset import (
     DEFAULT_SNR_GRID_DB,
     DataFormatError,
@@ -29,6 +36,8 @@ from otfs_sync.estimate import combine_offset, decompose_offset
 from otfs_sync.frames import (
     FrameConfig,
     PilotConfig,
+    build_dd_frame,
+    dd_to_dt,
     dt_to_dd,
     deserialize_time,
     toy_frame_config,
@@ -131,6 +140,60 @@ class TestCaptureContent:
         assert rec.window.shape == (2, TOY.grid_size)
 
 
+def full_stream_window(cfg, profile, theta, rng):
+    """Reference capture without noise: fade the whole transmit stream, then
+    cut the window (one block, with a preamble)."""
+    frame = cfg.frame
+    MN = frame.grid_size
+
+    def segment(pilot):
+        return dd_to_dt(build_dd_frame(frame, pilot, rng)).ravel(order="F")
+
+    prepend = segment(None)
+    payload = segment(cfg.pilot)
+    pre = zadoff_chu(cfg.preamble.length, cfg.preamble.root)
+    append = segment(None)
+    stream = np.concatenate([prepend, pre, payload[-frame.L_CP:], payload, append])
+    faded = apply_fading(stream, realize_channel(profile, cfg.sample_rate_hz, rng))
+    start = MN + pre.size + frame.L_CP + theta
+    win = faded[start : start + MN]
+    return np.stack([win.real, win.imag]).astype(np.float32)
+
+
+class TestWindowOnlyChannel:
+    @pytest.mark.parametrize("frame,pre", [
+        (TOY, PreambleConfig(length=64, root=5)),
+        (FrameConfig(), PreambleConfig(length=256, root=25)),
+    ], ids=["toy", "default"])
+    @pytest.mark.parametrize("profile", [AWGN_PROFILE, RAYLEIGH_PROFILE, EVA_PROFILE],
+                             ids=lambda p: p.label)
+    def test_noiseless_capture_matches_full_stream(self, frame, pre, profile):
+        cfg = DatasetConfig(frame=frame, channels=(profile,), preamble=pre, global_seed=3)
+        MN, L = frame.grid_size, frame.L_CP
+        thetas = (-MN // 2, -(pre.length + L), -L, -L // 2, -1, 0, MN // 2 - 1)
+        for i, theta in enumerate(thetas):
+            rec = synthesize_capture(cfg, profile, 9, float("inf"), theta,
+                                     per_record_rng(5, 9, i))
+            want = full_stream_window(cfg, profile, theta, per_record_rng(5, 9, i))
+            assert rec.window.tobytes() == want.tobytes(), f"theta {theta}"
+
+    def test_snr_is_measured_on_the_window(self):
+        cfg = _toy_config(channels=(EVA_PROFILE,))
+        for snr in (0.0, 10.0):
+            ratios = []
+            for i in range(40):
+                clean, noisy = (
+                    synthesize_capture(cfg, EVA_PROFILE, 3, s, 5, per_record_rng(8, 3, i))
+                    .window.astype(np.float64)
+                    for s in (float("inf"), snr)
+                )
+                ratios.append(np.sum((noisy - clean) ** 2) / np.sum(clean ** 2))
+            want = 10.0 ** (-snr / 10.0)
+            # one window holds 2*M*N real noise samples: 6 % relative spread
+            assert np.allclose(ratios, want, rtol=0.4), f"{snr} dB: {ratios}"
+            assert np.mean(ratios) == pytest.approx(want, rel=0.05)
+
+
 class TestDeterminism:
     def test_identical_seeds_identical_records(self):
         cfg = _toy_config(channels=(RAYLEIGH_PROFILE,))
@@ -206,6 +269,12 @@ class TestSplit:
         assert sorted(joined.tolist()) == sorted(ds.theta_raw.tolist())
 
 
+def _set_version(path, version):
+    raw = bytearray(path.read_bytes())
+    raw[8:12] = struct.pack("<I", version)
+    path.write_bytes(bytes(raw))
+
+
 class TestFileFormat:
     def test_round_trip(self, tmp_path):
         cfg = _toy_config(channels=(AWGN_PROFILE, EVA_PROFILE), samples_per_channel=5)
@@ -237,7 +306,7 @@ class TestFileFormat:
         raw = path.read_bytes()
         magic, version, M, N, L_CP, count, seed = struct.unpack_from("<8sIIIIQQ", raw)
         assert magic == b"OTFSDS01"
-        assert version == 1
+        assert version == 2
         assert (M, N, L_CP) == (32, 8, 8)
         assert count == 2 and seed == 7
         rec_bytes = struct.calcsize("<BfiIHH") + 2 * 4 * M * N
@@ -274,14 +343,39 @@ class TestFileFormat:
         assert peak < 1.25 * ds.windows.nbytes
 
     def test_rejects_unknown_version(self, tmp_path):
-        cfg = _toy_config(samples_per_channel=1)
         path = tmp_path / "v.otfsds"
+        write_dataset(_toy_config(samples_per_channel=1), path)
+        for version in (0, 3, 99):
+            _set_version(path, version)
+            with pytest.raises(DataFormatError, match=f"unsupported format version {version}"):
+                read_dataset(path)
+
+    def test_reads_version_1(self, tmp_path):
+        # version 1 keeps the layout; only how its noisy windows were made differs
+        cfg = _toy_config(channels=(AWGN_PROFILE, EVA_PROFILE), samples_per_channel=3)
+        path = tmp_path / "v1.otfsds"
         write_dataset(cfg, path)
-        raw = bytearray(path.read_bytes())
-        raw[8:12] = struct.pack("<I", 99)
-        path.write_bytes(bytes(raw))
-        with pytest.raises(DataFormatError):
-            read_dataset(path)
+        v2 = read_dataset(path)
+        _set_version(path, 1)
+        v1 = read_dataset(path)
+        assert (v1.format_version, v2.format_version) == (1, 2)
+        assert (v1.M, v1.N, v1.L_CP, v1.global_seed) == (v2.M, v2.N, v2.L_CP, v2.global_seed)
+        for name in ("windows", "channel_id", "snr_db", "theta_raw", "theta_wrapped",
+                     "theta_t", "theta_d"):
+            assert np.array_equal(getattr(v1, name), getattr(v2, name)), name
+
+    def test_noiseless_file_keeps_its_version_1_bytes(self, tmp_path):
+        # without noise the window-only channel changes no window, so the file
+        # is the version-1 file of the same config but for its version field
+        cfg = DatasetConfig(
+            frame=TOY, channels=(AWGN_PROFILE, RAYLEIGH_PROFILE, EVA_PROFILE),
+            snr_grid_db=(float("inf"),), samples_per_channel=4,
+            preamble=PreambleConfig(length=64, root=5), global_seed=7)
+        path = tmp_path / "clean.otfsds"
+        write_dataset(cfg, path)
+        _set_version(path, 1)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "f7605707702a7c9c30a87db88c5c4ed91255b217fff406eafc4c216296ff0bc2")
 
     def test_rejects_file_shorter_than_header(self, tmp_path):
         path = tmp_path / "short.otfsds"
@@ -339,11 +433,14 @@ class TestRecordLayout:
                 assert getattr(ds, name).dtype == dtype, name
 
     def test_save_of_read_is_byte_identical(self, tmp_path):
+        # a dataset read from a version-1 file is saved as version 1
         cfg = _toy_config(channels=(AWGN_PROFILE, EVA_PROFILE), samples_per_channel=5)
         p, q = tmp_path / "p.otfsds", tmp_path / "q.otfsds"
         write_dataset(cfg, p)
-        save_dataset(read_dataset(p), q)
-        assert q.read_bytes() == p.read_bytes()
+        for version in (2, 1):
+            _set_version(p, version)
+            save_dataset(read_dataset(p), q)
+            assert q.read_bytes() == p.read_bytes(), version
 
     def test_split_half_round_trips(self, tmp_path):
         # split() columns are copies, not views into a record array

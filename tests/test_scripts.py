@@ -1,4 +1,4 @@
-"""Smoke test of ``scripts/run_toy_experiment.py`` at a few seconds' scale."""
+"""Smoke tests of the experiment scripts at a few seconds' scale."""
 
 import subprocess
 import sys
@@ -6,7 +6,8 @@ from pathlib import Path
 
 from otfs_sync.nn.model import load_model
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_toy_experiment.py"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+SCRIPT = SCRIPTS / "run_toy_experiment.py"
 
 
 def test_toy_experiment_writes_its_artifacts(tmp_path):
@@ -26,3 +27,16 @@ def test_toy_experiment_writes_its_artifacts(tmp_path):
         model, meta = load_model(str(outdir / name))
         assert model.head == "coarse"
         assert meta["best_epoch"] == 0.0
+
+
+def test_crosscorr_snr_table():
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "baseline_crosscorr_snr.py"), "--M", "32", "--N", "8",
+         "--L-CP", "8", "--preamble-length", "32", "--snr", "20", "--trials", "5"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("M=32 N=8 L_CP=8 preamble=32 visible offsets [-128, -40]")
+    snr, acc, rmse, seconds = (float(v) for v in lines[-1].split())
+    assert snr == 20.0 and 0.0 <= acc <= 1.0 and rmse >= 0.0 and seconds >= 0.0
