@@ -43,6 +43,9 @@ def _check_args(args: argparse.Namespace) -> None:
     fraction = getattr(args, "train_fraction", 0.5)
     if not 0.0 < fraction < 1.0:
         raise ConfigError(f"--train-fraction must lie strictly between 0 and 1, got {fraction}")
+    step = getattr(args, "snr_step", 1.0)
+    if not step > 0:
+        raise ConfigError(f"--snr-step must be > 0, got {step}")
 
 
 def _preamble(length: int, root: int) -> np.ndarray:
@@ -140,6 +143,8 @@ def _load_models_for(args: argparse.Namespace, ds, methods: list[str]) -> SweepM
             )
     preamble = _preamble(args.preamble_length, args.preamble_root)
     pilot_row = args.pilot_row if args.pilot_row is not None else ds.M // 2
+    if not 0 <= pilot_row < ds.M:
+        raise ConfigError(f"--pilot-row must lie in [0, {ds.M}), got {pilot_row}")
     return SweepModels(
         preamble=preamble,
         preamble_offset=-(args.preamble_length + ds.L_CP),

@@ -22,6 +22,10 @@ HEAD_CODES = {"coarse": 0, "fine": 1, "onestage": 2}
 # (name, in_channels, out_channels) of the residual trunk
 TRUNK = (("rb1", 2, 4), ("rb2", 4, 16), ("rb3", 16, 16))
 
+# bytes of im2col columns that one trunk tile of predict_classes may build at
+# once: about two per-core L2 caches
+TILE_BYTES = 4 << 20
+
 
 def head_classes(head: str, M: int, N: int) -> int:
     if head == "coarse":
@@ -71,12 +75,29 @@ class SyncModel:
         Runs the cache-free inference forward (``cache=False``): no layer
         keeps anything for backward, and each batch norm is folded into the
         conv before it, so the scores differ from the eval-mode ``forward``
-        only by float rounding."""
+        only by float rounding.
+
+        Each chunk of ``batch_size`` captures runs the trunk (every layer
+        before ``fc``, flatten included) in tiles of :func:`trunk_tile`
+        captures, so the im2col columns of a conv stay near ``TILE_BYTES``
+        however large the chunk is; the chunk's flattened features then go
+        through ``fc`` in one matmul.  ``batch_size`` therefore bounds the
+        features held for one ``fc`` call, not the trunk's temporaries.
+        The trunk's stacked matmuls run one GEMM per capture either way, so
+        the scores are bitwise those of ``net.forward(chunk, cache=False)``."""
         self.eval()
+        *trunk, (_, fc) = self.net.children
+        tile = trunk_tile(self.M, self.N, X.dtype.itemsize)
         out = np.empty(X.shape[0], dtype=np.int64)
         for lo in range(0, X.shape[0], batch_size):
             hi = min(lo + batch_size, X.shape[0])
-            out[lo:hi] = np.argmax(self.net.forward(X[lo:hi], cache=False), axis=1)
+            feats = []
+            for t in range(lo, hi, tile):
+                x = X[t : min(t + tile, hi)]
+                for _, layer in trunk:
+                    x = layer.forward(x, cache=False)
+                feats.append(x)
+            out[lo:hi] = np.argmax(fc.forward(np.concatenate(feats), cache=False), axis=1)
         return out
 
     def state_dict(self) -> dict[str, np.ndarray]:
@@ -107,6 +128,20 @@ def check_geometry(M: int, N: int) -> None:
         raise ValueError(f"grid M={M} N={N} needs M, N >= 1")
     if M * N % 8 != 0:
         raise ValueError(f"M*N={M * N} must be divisible by 8 (three halving pools)")
+
+
+def trunk_tile(M: int, N: int, itemsize: int) -> int:
+    """Captures per trunk tile of :meth:`SyncModel.predict_classes`: as many
+    as keep the longest im2col column block of the trunk within
+    ``TILE_BYTES``, and at least one.  A block at length L builds
+    C_in*7 x L columns for its conv7 and C_out*5 x L for its conv5; at
+    256 x 64 in float32 the longest is rb2's conv5 (80 x 8192, 2.6 MB), so
+    a tile is one capture, and at 32 x 8 it is 102."""
+    widest, L = 0, M * N
+    for _, cin, cout in TRUNK:
+        widest = max(widest, L * max(cin * 7, cout * 5))
+        L //= 2
+    return max(1, TILE_BYTES // (itemsize * widest))
 
 
 def build_sync_model(

@@ -37,10 +37,15 @@ def compensate(window: np.ndarray, shift: int) -> np.ndarray:
 
 
 def compensate_batch(windows: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Per-sample :func:`compensate` for a (n, 2, L) stack."""
-    n, _, L = windows.shape
-    cols = (np.arange(L)[None, :] - np.asarray(shifts)[:, None]) % L
-    return np.take_along_axis(windows, cols[:, None, :], axis=2)
+    """Per-sample :func:`compensate` for a (n, 2, L) stack: each row is two
+    slice copies, out[:, s:] = w[:, :L-s] and out[:, :s] = w[:, L-s:] with
+    s = shift mod L, into one contiguous output."""
+    L = windows.shape[-1]
+    out = np.empty(windows.shape, windows.dtype)
+    for o, w, s in zip(out, windows, np.asarray(shifts) % L):
+        o[:, s:] = w[:, : L - s]
+        o[:, :s] = w[:, L - s :]
+    return out
 
 
 @dataclass(frozen=True)

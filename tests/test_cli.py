@@ -303,6 +303,19 @@ class TestExitCodes:
         assert main(["complexity", "--M", "8", "--N", "4",
                      "--preamble-length", "25", "--repeats", "1"]) == 2
 
+    @pytest.mark.parametrize("extra", [
+        ["--snr-min", "0", "--snr-step", "0"],   # np.arange divided by zero: exit 4
+        ["--snr-step", "-2"],                    # an empty SNR grid: header-only CSV, exit 0
+        ["--pilot-row", "99"],                   # past the 8-row grid: silently row 3
+    ])
+    def test_bad_sweep_option_is_2(self, workdir, capsys, extra):
+        assert main([
+            "sweep", "--methods", "autocorr2d",
+            "--dataset", str(workdir["dataset"]), *extra,
+        ]) == 2
+        captured = capsys.readouterr()
+        assert "config error" in captured.err and captured.out == ""
+
     def test_runtime_value_error_is_4(self, workdir, capsys, monkeypatch):
         import otfs_sync.metrics as metrics_mod
 

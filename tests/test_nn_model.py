@@ -20,7 +20,7 @@ from otfs_sync.nn import (
     split_metadata,
     two_stage_flops,
 )
-from otfs_sync.nn.model import HEAD_CODES, TRUNK
+from otfs_sync.nn.model import HEAD_CODES, TRUNK, trunk_tile
 
 
 def _rng(seed=0):
@@ -294,6 +294,68 @@ class TestInferenceForward:
         assert cached_arrays(model.net) == []
 
 
+def _predict_with_logits(monkeypatch, model, X, batch_size):
+    """predict_classes(X, batch_size) plus the logits its fc calls returned."""
+    from otfs_sync.nn import layers
+
+    logits = []
+    original = layers.Linear.__dict__["forward"]
+
+    def recording(*args, **kwargs):
+        y = original(*args, **kwargs)
+        logits.append(y)
+        return y
+
+    with monkeypatch.context() as m:
+        m.setattr(layers.Linear, "forward", recording)
+        classes = model.predict_classes(X, batch_size)
+    return classes, np.concatenate(logits)
+
+
+class TestTrunkTiles:
+    """predict_classes runs the trunk a few captures at a time and fc once per
+    batch_size chunk; the scores stay bitwise those of the untiled forward."""
+
+    def test_tile_follows_the_byte_budget(self):
+        # rb2's conv5 columns are the longest: 80 rows of L = MN/2 samples
+        assert trunk_tile(256, 64, 4) == 1
+        assert trunk_tile(32, 8, 4) == (4 << 20) // (4 * 80 * 128) == 102
+        assert trunk_tile(32, 8, 8) == 51
+
+    @pytest.mark.parametrize("head", ["coarse", "fine"])
+    @pytest.mark.parametrize("M,N,B,batch_sizes", [
+        (32, 8, 250, (120, 256)),   # tiles of 102: three per chunk above B
+        (256, 64, 3, (2, 8)),       # tiles of 1
+    ])
+    def test_logits_bitwise_equal_untiled_forward(self, monkeypatch, head, M, N, B,
+                                                  batch_sizes):
+        model = _trained_looking_model(head, M, N, np.float32, seed=21)
+        X = _rng(22).standard_normal((B, 2, M * N)).astype(np.float32)
+        for bs in batch_sizes:
+            classes, logits = _predict_with_logits(monkeypatch, model, X, bs)
+            want = np.concatenate([model.net.forward(X[lo : lo + bs], cache=False)
+                                   for lo in range(0, B, bs)])
+            assert logits.shape == want.shape
+            assert np.array_equal(logits, want), bs
+            assert np.array_equal(classes, np.argmax(want, axis=1)), bs
+        assert np.array_equal(logits, model.net.forward(X, cache=False))
+
+    def test_default_scale_peak_does_not_grow_with_the_batch(self):
+        import tracemalloc
+
+        model = build_sync_model(256, 64, "coarse", seed=23)
+        X = _rng(24).standard_normal((8, 2, 256 * 64)).astype(np.float32)
+        peaks = {}
+        for B in (1, 8):
+            tracemalloc.start()
+            try:
+                model.predict_classes(X[:B])
+                peaks[B] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[8] <= 1.5 * peaks[1], peaks
+
+
 class TestBenchTracerContract:
     """The benchmark's span tracer wraps ``forward``/``backward`` taken from
     each layer class's own ``__dict__`` and counts conv MACs from the shape
@@ -330,3 +392,28 @@ class TestBenchTracerContract:
         assert sorted(seen) == sorted(want)
         conv_macs = sum(r.macs for r in flops_report(M, N, "coarse").rows if ".conv" in r.name)
         assert sum(B * L * o * C * k for o, k, (B, C, L) in seen) == 3 * conv_macs
+
+    def test_default_scale_tiles_reach_every_conv_once_per_capture(self, monkeypatch):
+        from otfs_sync.nn import layers
+
+        seen = []
+        original = layers.Conv1d.__dict__["forward"]
+
+        def recording(*args, **kwargs):
+            conv, x = args[0], args[1]
+            seen.append((conv.out_channels, conv.kernel, x.shape))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(layers.Conv1d, "forward", recording)
+        M, N, B = 256, 64, 2
+        model = build_sync_model(M, N, "coarse", seed=0)
+        model.predict_classes(np.zeros((B, 2, M * N), dtype=np.float32))
+        want, L = [], M * N
+        for _, cin, cout in TRUNK:
+            want += [(cout, 7, (1, cin, L)), (cout, 5, (1, cout, L)), (cout, 3, (1, cout, L))]
+            if cin != cout:
+                want.append((cout, 1, (1, cin, L)))
+            L //= 2
+        assert sorted(seen) == sorted(B * want)
+        conv_macs = sum(r.macs for r in flops_report(M, N, "coarse").rows if ".conv" in r.name)
+        assert sum(b * L * o * C * k for o, k, (b, C, L) in seen) == B * conv_macs

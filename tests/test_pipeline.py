@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otfs_sync.channel import AWGN_PROFILE
-from otfs_sync.dataset import DatasetConfig, generate_dataset
+from otfs_sync.dataset import DatasetConfig, generate_dataset, read_dataset, save_dataset
 from otfs_sync.frames import FrameConfig
 from otfs_sync.pipeline import (
     TrainHyper,
@@ -70,6 +70,22 @@ class TestCompensate:
         out = compensate_batch(wins, shifts)
         for i, s in enumerate(shifts):
             assert np.array_equal(out[i], compensate(wins[i], int(s))), i
+
+    @pytest.mark.parametrize("source", ["default_stack", "read_dataset"])
+    def test_batch_matches_scalar_at_every_wrap(self, tmp_path, source):
+        if source == "default_stack":
+            wins = _rng(2).standard_normal((7, 2, 256 * 64)).astype(np.float32)
+        else:
+            path = tmp_path / "ds.otfsds"
+            save_dataset(_tiny_dataset(seed=4, samples=7), str(path))
+            wins = read_dataset(str(path)).windows  # strided, unaligned view
+            assert not wins.flags.c_contiguous and not wins.flags.aligned
+        L = wins.shape[-1]
+        shifts = np.array([0, 1, L - 1, L, 2 * L + 3, -1, -L - 2])
+        out = compensate_batch(wins, shifts)
+        assert out.shape == wins.shape and out.dtype == wins.dtype
+        for i, s in enumerate(shifts):
+            assert np.array_equal(out[i], compensate(wins[i], int(s))), (i, s)
 
     def test_compensating_by_label_realigns(self):
         # rolling a capture back by its wrapped offset reproduces the
