@@ -11,6 +11,14 @@ Two estimators operate on a captured window of ``M*N`` complex samples:
 Both report a :class:`~otfs_sync.estimate.SyncEstimate`; analytic complexity
 counters for each are exposed alongside so cost comparisons never depend on
 how the surfaces happen to be vectorized.
+
+The matched filter also runs on stacks: :func:`cross_correlation_surface`
+transforms a ``(..., L)`` stack along its last axis, and
+:func:`crosscorr_offsets` estimates a whole ``(n, 2, L)`` stack of float
+window planes a chunk of ``CHUNK_BYTES // (16 L)`` windows at a time (8 at
+256 x 64, 512 at 32 x 8).  Batched FFT lines are bitwise equal to
+single-line ones, so stacked surfaces and estimates are exactly those of
+the per-window functions.
 """
 
 from __future__ import annotations
@@ -18,6 +26,18 @@ from __future__ import annotations
 import numpy as np
 
 from .estimate import SyncEstimate, combine_offset, decompose_offset
+
+# complex128 bytes one chunk of stacked matched-filter windows may span
+CHUNK_BYTES = 2 * 1024 * 1024
+
+
+def planes_to_complex(planes: np.ndarray) -> np.ndarray:
+    """``(..., 2, L)`` real/imaginary float planes as ``(..., L)`` complex128."""
+    planes = np.asarray(planes)
+    out = np.empty(planes.shape[:-2] + planes.shape[-1:], dtype=np.complex128)
+    out.real = planes[..., 0, :]
+    out.imag = planes[..., 1, :]
+    return out
 
 
 def autocorr2d(window: np.ndarray, M: int, N: int) -> np.ndarray:
@@ -70,16 +90,22 @@ def autocorr2d_sync(window: np.ndarray, M: int, N: int, m_p: int) -> SyncEstimat
 
 
 def cross_correlation_surface(window: np.ndarray, preamble: np.ndarray) -> np.ndarray:
-    """Cyclic matched-filter magnitude c[tau] = |sum_i conj(p[i]) w[(tau+i) % L]|."""
+    """Cyclic matched-filter magnitude c[tau] = |sum_i conj(p[i]) w[(tau+i) % L]|.
+
+    ``window`` may be a ``(..., L)`` stack; every window is filtered along
+    the last axis against one preamble spectrum, and each row of the result
+    is bitwise the surface of that window alone.
+    """
     w = np.asarray(window)
     p = np.asarray(preamble)
-    L = w.size
+    L = w.shape[-1]
     if p.size > L:
         raise ValueError(f"preamble ({p.size}) longer than window ({L})")
     p_pad = np.zeros(L, dtype=np.complex128)
     p_pad[: p.size] = p
-    corr = np.fft.ifft(np.fft.fft(w) * np.conj(np.fft.fft(p_pad)))
-    return np.abs(corr)
+    spec = np.fft.fft(w, axis=-1).astype(np.complex128, copy=False)
+    spec *= np.conj(np.fft.fft(p_pad))
+    return np.abs(np.fft.ifft(spec, axis=-1, out=spec))
 
 
 def cross_correlate_sync(
@@ -110,6 +136,28 @@ def cross_correlate_sync(
         theta_t_hat=theta_t,
         ambiguous=ambiguous,
     )
+
+
+def crosscorr_offsets(
+    planes: np.ndarray,
+    preamble: np.ndarray,
+    preamble_offset: int = 0,
+) -> np.ndarray:
+    """Wrapped ``theta_hat`` of :func:`cross_correlate_sync` for every window
+    of an ``(n, 2, L)`` stack of real/imaginary float planes, as int64.
+
+    Windows are converted and filtered ``max(1, CHUNK_BYTES // (16 L))`` at a
+    time, so the temporaries stay a few MiB whatever ``n`` is.  The decision
+    is ``(preamble_offset - argmax c) % L`` with ties to the smallest lag.
+    """
+    planes = np.asarray(planes)
+    n, L = planes.shape[0], planes.shape[-1]
+    rows = max(1, CHUNK_BYTES // (16 * L))
+    out = np.empty(n, dtype=np.int64)
+    for lo in range(0, n, rows):
+        c = cross_correlation_surface(planes_to_complex(planes[lo:lo + rows]), preamble)
+        out[lo:lo + rows] = (preamble_offset - np.argmax(c, axis=-1)) % L
+    return out
 
 
 def autocorr2d_macs(M: int, N: int) -> int:

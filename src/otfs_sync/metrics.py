@@ -23,6 +23,8 @@ from .classic import (
     autocorr2d_sync,
     cross_correlate_sync,
     crosscorr_macs,
+    crosscorr_offsets,
+    planes_to_complex,
 )
 from .dataset import Dataset
 from .frames import zadoff_chu
@@ -75,14 +77,15 @@ class SweepModels:
     pilot_row: int | None = None
 
 
-def _complex_windows(ds: Dataset, idx: np.ndarray) -> np.ndarray:
-    w = ds.windows[idx].astype(np.float64)
-    return w[:, 0, :] + 1j * w[:, 1, :]
-
-
 def estimate_all(ds: Dataset, method: str, models: SweepModels,
                  batch_size: int = 256) -> np.ndarray:
-    """Wrapped-offset estimates of one method over every record of ``ds``."""
+    """Wrapped-offset estimates of one method over every record of ``ds``.
+
+    ``crosscorr`` filters the whole stack of windows in one call of
+    :func:`~otfs_sync.classic.crosscorr_offsets` (chunks of ``CHUNK_BYTES``);
+    ``autocorr2d`` runs once per record.  Either way each record's estimate
+    is exactly that of the single-window ``*_sync`` function.
+    """
     if method == "resnet2stage":
         if models.coarse is None or models.fine is None:
             raise ValueError("resnet2stage needs coarse and fine weights")
@@ -97,21 +100,13 @@ def estimate_all(ds: Dataset, method: str, models: SweepModels,
             raise ValueError("autocorr2d needs the pilot delay row (pilot_row)")
         out = np.empty(len(ds), dtype=np.int64)
         for i in range(len(ds)):
-            win = ds.windows[i].astype(np.float64)
-            est = autocorr2d_sync(win[0] + 1j * win[1], ds.M, ds.N, m_p)
+            est = autocorr2d_sync(planes_to_complex(ds.windows[i]), ds.M, ds.N, m_p)
             out[i] = est.theta_hat
         return out
     if method == "crosscorr":
         if models.preamble is None:
             raise ValueError("crosscorr needs the preamble sequence")
-        out = np.empty(len(ds), dtype=np.int64)
-        for i in range(len(ds)):
-            win = ds.windows[i].astype(np.float64)
-            est = cross_correlate_sync(
-                win[0] + 1j * win[1], models.preamble, ds.M, models.preamble_offset
-            )
-            out[i] = est.theta_hat
-        return out
+        return crosscorr_offsets(ds.windows, models.preamble, models.preamble_offset)
     raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
 
 
@@ -232,8 +227,6 @@ def complexity_report(
     implementation.  Cross-correlation is timed against the Zadoff-Chu
     preamble of length ``preamble_len`` with the default root 25, so that
     length must be coprime with 25 when runtime is measured."""
-    from .classic import autocorr2d, cross_correlation_surface
-
     MN = M * N
     if pilot_row is None:
         pilot_row = M // 2
@@ -247,7 +240,7 @@ def complexity_report(
                     else build_sync_model(M, N, "onestage"))
     rng = np.random.Generator(np.random.PCG64(12345))
     win_planes = rng.standard_normal((1, 2, MN)).astype(np.float32)
-    win_complex = win_planes[0, 0].astype(np.float64) + 1j * win_planes[0, 1]
+    win_complex = planes_to_complex(win_planes[0])
     preamble = zadoff_chu(preamble_len, 25) if measure_runtime else None
 
     rows = [
@@ -272,8 +265,7 @@ def complexity_report(
             8 * crosscorr_macs(MN, preamble_len),
             None,
             _median_runtime(
-                lambda: int(np.argmax(cross_correlation_surface(win_complex, preamble))),
-                repeats,
+                lambda: cross_correlate_sync(win_complex, preamble, M), repeats,
             ) if measure_runtime else None,
         ),
         ComplexityRow(

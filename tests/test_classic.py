@@ -6,14 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otfs_sync.classic import (
+    CHUNK_BYTES,
     autocorr2d,
     autocorr2d_macs,
     autocorr2d_sync,
     cross_correlate_sync,
     cross_correlation_surface,
     crosscorr_macs,
+    crosscorr_offsets,
+    planes_to_complex,
 )
-from otfs_sync.dataset import DatasetConfig, per_record_rng, synthesize_capture
+from otfs_sync.dataset import DatasetConfig, PreambleConfig, per_record_rng, synthesize_capture
 from otfs_sync.channel import AWGN_PROFILE
 from otfs_sync.frames import FrameConfig, PilotConfig, toy_frame_config, zadoff_chu
 
@@ -188,6 +191,46 @@ class TestCrossCorrelation:
         w[200:264] += p
         est = cross_correlate_sync(w, p, M=16, preamble_offset=200)
         assert est.theta_hat == 0
+
+
+class TestStackedCrossCorrelation:
+    """A stack of windows is filtered and decided exactly as each window alone."""
+
+    @pytest.mark.parametrize("frame, Lp", [(toy_frame_config(), 32), (FrameConfig(), 256)],
+                             ids=["32x8", "256x64"])
+    def test_stack_is_bitwise_the_single_windows(self, frame, Lp):
+        MN = frame.grid_size
+        p = zadoff_chu(Lp, 25)
+        offset = -(Lp + frame.L_CP)
+        # 13 windows: not a multiple of the 8-window chunk at 256x64
+        planes = _rng(MN).standard_normal((13, 2, MN)).astype(np.float32)
+        theta = -MN // 4
+        clean = _noiseless_capture(frame, theta, preamble=PreambleConfig(length=Lp, root=25))
+        planes[5] = np.stack([clean.real, clean.imag])
+        windows = planes_to_complex(planes)
+        stacked = cross_correlation_surface(windows, p)
+        assert stacked.shape == (13, MN)
+        for i in range(13):
+            assert np.array_equal(stacked[i], cross_correlation_surface(windows[i], p)), i
+        want = [cross_correlate_sync(w, p, frame.M, offset).theta_hat for w in windows]
+        got = crosscorr_offsets(planes, p, offset)
+        assert got.dtype == np.int64 and got.tolist() == want
+        assert want[5] == theta % MN
+
+    def test_planes_to_complex_is_the_float64_conversion(self):
+        planes = _rng(3).standard_normal((4, 2, 64)).astype(np.float32)
+        want = planes[:, 0].astype(np.float64) + 1j * planes[:, 1].astype(np.float64)
+        got = planes_to_complex(planes)
+        assert got.dtype == np.complex128 and np.array_equal(got, want)
+        assert np.array_equal(planes_to_complex(planes[2]), want[2])
+
+    def test_chunk_rows(self):
+        assert CHUNK_BYTES // (16 * FrameConfig().grid_size) == 8
+        assert CHUNK_BYTES // (16 * toy_frame_config().grid_size) == 512
+
+    def test_empty_stack(self):
+        out = crosscorr_offsets(np.zeros((0, 2, 64), np.float32), zadoff_chu(16, 5))
+        assert out.shape == (0,) and out.dtype == np.int64
 
 
 class TestStreamCaptures:

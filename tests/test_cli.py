@@ -182,6 +182,18 @@ class TestHappyPath:
         assert "records" in proc.stdout
 
 
+@pytest.fixture(scope="module")
+def snr_dataset(tmp_path_factory):
+    """A tiny dataset over three SNRs, for the sweep's SNR grid."""
+    root = tmp_path_factory.mktemp("snr")
+    cfg_path = root / "snr.json"
+    cfg_path.write_text(json.dumps({**TINY_CONFIG, "snr_grid_db": [0, 10, 20],
+                                    "samples_per_channel": 60}))
+    ds_path = root / "snr.otfsds"
+    assert main(["gen", "--config", str(cfg_path), "--out", str(ds_path)]) == 0
+    return ds_path
+
+
 class TestExitCodes:
     def test_missing_config_is_2(self, tmp_path):
         assert main(["gen", "--config", str(tmp_path / "none.json"),
@@ -315,6 +327,37 @@ class TestExitCodes:
         ]) == 2
         captured = capsys.readouterr()
         assert "config error" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("extra", [
+        ["--snr-min", "5", "--snr-max", "0"],    # an empty SNR grid: header-only CSV, exit 0
+        ["--snr-min", "nan"],                    # np.arange on NaN: exit 4
+        ["--snr-max", "inf"],                    # np.arange to infinity: exit 4
+        ["--snr-min", "0", "--snr-max", "20", "--snr-step", "inf"],
+    ])
+    def test_bad_snr_grid_is_2(self, snr_dataset, capsys, extra):
+        assert main([
+            "sweep", "--methods", "autocorr2d", "--dataset", str(snr_dataset), *extra,
+        ]) == 2
+        captured = capsys.readouterr()
+        assert "config error" in captured.err and captured.out == ""
+
+    def test_fine_snr_grid_is_not_built(self, snr_dataset, capsys):
+        import time
+
+        def rows(*extra):
+            assert main(["sweep", "--methods", "autocorr2d",
+                         "--dataset", str(snr_dataset), *extra]) == 0
+            return capsys.readouterr().out
+
+        coarse = rows("--snr-min", "0", "--snr-max", "20", "--snr-step", "10")
+        assert [line.split(",")[2] for line in coarse.splitlines()[1:]] == ["0", "10", "20"]
+        t0 = time.perf_counter()
+        # 1e18 grid points: before, a 6.94 EiB allocation (MemoryError, exit 4)
+        fine = rows("--snr-min", "0", "--snr-max", "1e9", "--snr-step", "1e-9")
+        assert time.perf_counter() - t0 < 10.0
+        assert fine == coarse
+        assert rows("--snr-min", "5", "--snr-max", "15", "--snr-step", "5").splitlines()[1:] == [
+            line for line in coarse.splitlines()[1:] if line.split(",")[2] == "10"]
 
     def test_runtime_value_error_is_4(self, workdir, capsys, monkeypatch):
         import otfs_sync.metrics as metrics_mod

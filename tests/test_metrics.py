@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from otfs_sync.channel import AWGN_PROFILE, RAYLEIGH_PROFILE
-from otfs_sync.dataset import DatasetConfig, generate_dataset
-from otfs_sync.frames import FrameConfig, toy_frame_config
+from otfs_sync import classic, metrics
+from otfs_sync.channel import AWGN_PROFILE, EVA_PROFILE, RAYLEIGH_PROFILE
+from otfs_sync.dataset import DatasetConfig, PreambleConfig, generate_dataset
+from otfs_sync.frames import FrameConfig, toy_frame_config, zadoff_chu
 from otfs_sync.metrics import (
     METHODS,
     SweepModels,
@@ -93,6 +94,100 @@ class TestEstimateAll:
             estimate_all(ds, "autocorr2d", SweepModels())
         with pytest.raises(ValueError):
             estimate_all(ds, "warp-drive", SweepModels())
+
+
+def _preamble_set(frame, Lp, channels, snrs, samples, seed):
+    """A preamble-carrying dataset and the models that estimate it classically."""
+    cfg = DatasetConfig(frame=frame, channels=channels, snr_grid_db=snrs,
+                        samples_per_channel=samples,
+                        preamble=PreambleConfig(length=Lp, root=25), global_seed=seed)
+    models = SweepModels(preamble=zadoff_chu(Lp, 25), preamble_offset=-(Lp + frame.L_CP),
+                         pilot_row=frame.M // 2)
+    return generate_dataset(cfg), models
+
+
+@pytest.fixture(scope="module")
+def default_preamble_set():
+    # 12 records: one full 8-window chunk and a partial one
+    return _preamble_set(FrameConfig(), 256, (AWGN_PROFILE, RAYLEIGH_PROFILE, EVA_PROFILE),
+                         (-20.0, 0.0, 20.0), 4, 41)
+
+
+def _per_record_crosscorr(ds, models):
+    out = []
+    for i in range(len(ds)):
+        win = ds.windows[i].astype(np.float64)
+        out.append(classic.cross_correlate_sync(
+            win[0] + 1j * win[1], models.preamble, ds.M, models.preamble_offset).theta_hat)
+    return out
+
+
+class TestStackedCrosscorr:
+    def test_default_scale_matches_per_record_loop(self, default_preamble_set):
+        ds, models = default_preamble_set
+        got = estimate_all(ds, "crosscorr", models)
+        assert got.dtype == np.int64
+        assert got.tolist() == _per_record_crosscorr(ds, models)
+
+    def test_toy_scale_matches_per_record_loop(self):
+        ds, models = _preamble_set(toy_frame_config(), 32, (AWGN_PROFILE, RAYLEIGH_PROFILE),
+                                   (-10.0, 0.0, 20.0), 40, 42)
+        assert estimate_all(ds, "crosscorr", models).tolist() == _per_record_crosscorr(ds, models)
+
+    def test_peak_memory_does_not_grow_with_the_records(self):
+        import tracemalloc
+
+        ds, models = _preamble_set(FrameConfig(), 256, (AWGN_PROFILE,), (0.0,), 64, 43)
+        peaks = {}
+        for n in (8, 64):
+            part = ds.subset(np.arange(n))
+            tracemalloc.start()
+            try:
+                estimate_all(part, "crosscorr", models)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[64] <= 1.5 * peaks[8], peaks
+
+
+class TestBenchTracerContract:
+    """The benchmark's span tracer patches ``classic.cross_correlation_surface``
+    and ``classic.autocorr2d`` in ``classic``'s namespace, counts their MACs
+    from the sizes of the positional arguments, and wraps the ``*_sync``
+    names bound in ``metrics``."""
+
+    def test_metrics_keeps_the_sync_names(self):
+        assert metrics.cross_correlate_sync is classic.cross_correlate_sync
+        assert metrics.autocorr2d_sync is classic.autocorr2d_sync
+
+    def test_stacked_crosscorr_counts_every_window_once(self, monkeypatch,
+                                                        default_preamble_set):
+        ds, models = default_preamble_set
+        seen = []
+        original = classic.cross_correlation_surface
+
+        def recording(*args, **kwargs):
+            seen.append((args[0].shape, args[0].size * args[1].size))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(classic, "cross_correlation_surface", recording)
+        estimate_all(ds, "crosscorr", models)
+        MN = ds.M * ds.N
+        assert sum(macs for _, macs in seen) == len(ds) * classic.crosscorr_macs(MN, 256)
+        assert all(shape[0] <= 8 and shape[1] == MN for shape, _ in seen), seen
+
+    def test_autocorr2d_reached_once_per_record(self, monkeypatch, default_preamble_set):
+        ds, models = default_preamble_set
+        seen = []
+        original = classic.autocorr2d
+
+        def recording(*args, **kwargs):
+            seen.append((args[0].size, args[1], args[2]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(classic, "autocorr2d", recording)
+        estimate_all(ds, "autocorr2d", models)
+        assert seen == [(ds.M * ds.N, ds.M, ds.N)] * len(ds)
 
 
 class TestSweep:

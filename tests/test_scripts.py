@@ -40,3 +40,14 @@ def test_crosscorr_snr_table():
     assert lines[0].startswith("M=32 N=8 L_CP=8 preamble=32 visible offsets [-128, -40]")
     snr, acc, rmse, seconds = (float(v) for v in lines[-1].split())
     assert snr == 20.0 and 0.0 <= acc <= 1.0 and rmse >= 0.0 and seconds >= 0.0
+
+
+def test_crosscorr_snr_table_toy_pin():
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "baseline_crosscorr_snr.py"), "--M", "32", "--N", "8",
+         "--L-CP", "8", "--preamble-length", "32", "--snr", "-10", "-5", "--trials", "100"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    table = [line.split()[:3] for line in done.stdout.splitlines()[2:]]
+    assert table == [["-10.0", "0.6300", "45.78"], ["-5.0", "0.9900", "8.80"]]
