@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otfs_sync.classic import (
-    CHUNK_BYTES,
     autocorr2d,
     autocorr2d_macs,
     autocorr2d_sync,
@@ -223,10 +222,6 @@ class TestStackedCrossCorrelation:
         got = planes_to_complex(planes)
         assert got.dtype == np.complex128 and np.array_equal(got, want)
         assert np.array_equal(planes_to_complex(planes[2]), want[2])
-
-    def test_chunk_rows(self):
-        assert CHUNK_BYTES // (16 * FrameConfig().grid_size) == 8
-        assert CHUNK_BYTES // (16 * toy_frame_config().grid_size) == 512
 
     def test_empty_stack(self):
         out = crosscorr_offsets(np.zeros((0, 2, 64), np.float32), zadoff_chu(16, 5))
