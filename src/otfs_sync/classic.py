@@ -105,7 +105,7 @@ def cross_correlation_surface(window: np.ndarray, preamble: np.ndarray) -> np.nd
     p_pad[: p.size] = p
     spec = np.fft.fft(w, axis=-1).astype(np.complex128, copy=False)
     spec *= np.conj(np.fft.fft(p_pad))
-    return np.abs(np.fft.ifft(spec, axis=-1, out=spec))
+    return np.abs(np.fft.ifft(spec, axis=-1))
 
 
 def cross_correlate_sync(

@@ -24,6 +24,7 @@ from .metrics import (
     estimate_all,
     overall_row,
     rows_to_csv,
+    snrs_on_grid,
     sweep,
 )
 from .nn.io import WeightsFormatError, load_tensors, split_metadata
@@ -46,25 +47,6 @@ def _check_args(args: argparse.Namespace) -> None:
     step = getattr(args, "snr_step", 1.0)
     if not step > 0:
         raise ConfigError(f"--snr-step must be > 0, got {step}")
-
-
-def _snrs_on_grid(snrs: np.ndarray, lo: float, hi: float, step: float) -> list[float]:
-    """The distinct values of ``snrs`` within 1e-6 dB of a point of the grid
-    ``lo, lo + step, ...`` up to ``hi`` (inclusive to half a step), found
-    without building the grid, however fine it is."""
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise ConfigError(f"SNR grid bounds must be finite, got [{lo}, {hi}]")
-    if lo > hi:
-        raise ConfigError(f"--snr-min {lo} exceeds --snr-max {hi}")
-    count = np.ceil((hi + step / 2 - lo) / step)
-    if not np.isfinite(count):
-        raise ConfigError(f"--snr-step {step} cannot index [{lo}, {hi}]")
-    kept = []
-    for s in np.unique(snrs).tolist():
-        k = np.rint((s - lo) / step)
-        if 0 <= k < count and abs(s - (lo + k * step)) < 1e-6:
-            kept.append(s)
-    return kept
 
 
 def _preamble(length: int, root: int) -> np.ndarray:
@@ -201,7 +183,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.snr_min is not None or args.snr_max is not None:
         lo = args.snr_min if args.snr_min is not None else float(np.min(test_ds.snr_db))
         hi = args.snr_max if args.snr_max is not None else float(np.max(test_ds.snr_db))
-        snr_values = _snrs_on_grid(test_ds.snr_db, lo, hi, args.snr_step)
+        try:
+            snr_values = snrs_on_grid(test_ds.snr_db, lo, hi, args.snr_step)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     rows = sweep(test_ds, methods, models, snr_values=snr_values, batch_size=args.batch)
     csv_text = rows_to_csv(rows)
     if args.out:

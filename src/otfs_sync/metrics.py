@@ -110,6 +110,35 @@ def estimate_all(ds: Dataset, method: str, models: SweepModels,
     raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
 
 
+# how far (dB) an SNR may sit from a requested value and still count as it
+SNR_TOL_DB = 1e-6
+
+
+def snrs_on_grid(snrs: np.ndarray, lo: float, hi: float, step: float) -> list[float]:
+    """The distinct values of ``snrs`` within :data:`SNR_TOL_DB` of a point
+    of the grid ``lo, lo + step, ...`` up to ``hi`` (inclusive to half a
+    step), found without building the grid, however fine it is.
+
+    Raises ``ValueError`` for non-finite bounds, ``lo > hi``, a step that is
+    not positive, or a step too small to index ``[lo, hi]``.
+    """
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError(f"SNR grid bounds must be finite, got [{lo}, {hi}]")
+    if lo > hi:
+        raise ValueError(f"--snr-min {lo} exceeds --snr-max {hi}")
+    if not step > 0:
+        raise ValueError(f"--snr-step must be > 0, got {step}")
+    count = np.ceil((hi + step / 2 - lo) / step)
+    if not np.isfinite(count):
+        raise ValueError(f"--snr-step {step} cannot index [{lo}, {hi}]")
+    kept = []
+    for s in np.unique(snrs).tolist():
+        k = np.rint((s - lo) / step)
+        if 0 <= k < count and abs(s - (lo + k * step)) < SNR_TOL_DB:
+            kept.append(s)
+    return kept
+
+
 def condition_rows(
     test: Dataset,
     method: str,
@@ -119,8 +148,8 @@ def condition_rows(
     """Per (channel, SNR) metrics of one method's estimates ``theta_hat``
     over every record of ``test``, in increasing channel id, then SNR.
 
-    ``snr_values``, when given, keeps only the SNRs within 1e-6 dB of one
-    of its entries.
+    ``snr_values``, when given, keeps only the SNRs within
+    :data:`SNR_TOL_DB` of one of its entries.
     """
     MN = test.M * test.N
     rows: list[MetricsRow] = []
@@ -129,7 +158,7 @@ def condition_rows(
         snrs = sorted(np.unique(test.snr_db[ch_mask]).tolist())
         for snr in snrs:
             if snr_values is not None and not any(
-                abs(snr - s) < 1e-6 for s in snr_values
+                abs(snr - s) < SNR_TOL_DB for s in snr_values
             ):
                 continue
             mask = ch_mask & (test.snr_db == snr)

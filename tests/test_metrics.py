@@ -18,6 +18,7 @@ from otfs_sync.metrics import (
     rmse,
     rmse_raw,
     rows_to_csv,
+    snrs_on_grid,
     sweep,
     wrapped_error,
 )
@@ -217,6 +218,16 @@ class TestSweep:
         rows = sweep(ds, ["resnet2stage"], self._oracle_models(ds), snr_values=[10.0])
         assert all(r.snr_db == 10.0 for r in rows)
         assert rows, "filter must keep the requested level"
+
+    def test_snrs_on_grid(self):
+        snrs = np.array([0.0, 10.0, 10.0, 20.0, 20.0 + 1e-7, 25.0], dtype=np.float64)
+        assert snrs_on_grid(snrs, 0.0, 20.0, 10.0) == [0.0, 10.0, 20.0, 20.0 + 1e-7]
+        assert snrs_on_grid(snrs, 5.0, 15.0, 5.0) == [10.0]
+        assert snrs_on_grid(snrs, 0.0, 1e9, 1e-9) == snrs_on_grid(snrs, 0.0, 1e9, 5.0)
+        for lo, hi, step in ((5.0, 0.0, 1.0), (np.nan, 1.0, 1.0), (0.0, np.inf, 1.0),
+                             (0.0, 1.0, 0.0), (0.0, 1e300, 1e-300)):
+            with pytest.raises(ValueError):
+                snrs_on_grid(snrs, lo, hi, step)
 
     def test_csv_round_trip(self):
         ds = _dataset(samples=6, seed=6)
