@@ -7,6 +7,14 @@ the profile's average power, and gives each path a single-sinusoid Doppler
 rotation nu_max*cos(alpha) with uniform random alpha and initial phase.  A
 realization is held fixed while one capture passes through it (block fading).
 
+A Doppler path's rotation at absolute sample index k is built from two small
+phase tables, exp(1j*(w*B*(k // B) + phi)) * exp(1j*w*(k % B)) with
+w = 2*pi*nu/fs and B = PHASE_BLOCK samples, so a stream of m samples costs
+about m/B + B complex exponentials instead of m.  Both factors depend on k
+alone, never on where a slice starts, so fading a slice from its absolute
+start reproduces the whole-stream output bitwise; the product equals the
+direct exp(1j*(w*k + phi)) to rounding (a few 1e-15 relative).
+
 SNR is defined at the receiver input: signal power is measured on the faded
 signal that reaches the receive window, and the i.i.d. complex Gaussian noise
 variance is set from it.
@@ -19,6 +27,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+PHASE_BLOCK = 128  # samples per row of a Doppler rotation's phase tables
 
 
 class ChannelKind(enum.IntEnum):
@@ -142,30 +152,50 @@ def realize_channel(
     )
 
 
+def doppler_rotation(w: float, phi: float, k0: int, n: int) -> np.ndarray:
+    """exp(1j*(w*k + phi)) for the absolute sample indices k = k0 .. k0+n-1.
+
+    Index k = a*B + b (B = PHASE_BLOCK) takes the product of the block phase
+    outer[a] = exp(1j*(w*B*a + phi)) and the in-block phase
+    inner[b] = exp(1j*w*b); both depend on k alone, not on k0.
+    """
+    B = PHASE_BLOCK
+    a0, a1 = k0 // B, (k0 + n - 1) // B + 1
+    outer = np.exp(1j * (w * B * np.arange(a0, a1) + phi))
+    inner = np.exp(1j * w * np.arange(B))
+    rot = (outer[:, None] * inner).ravel()
+    return rot[k0 - a0 * B : k0 - a0 * B + n]
+
+
 def apply_fading(x: np.ndarray, ch: ChannelRealization, start: int = 0) -> np.ndarray:
     """Pass a sample stream through a frozen tapped-delay-line realization.
 
     y[k] = sum_i gains[i] * exp(1j*(2*pi*doppler[i]*(start+k)/fs + phases[i])) * x[k - taps[i]]
 
     with x[k] = 0 for k < 0; the output has the same length as the input.
-    ``start`` is the absolute sample index of ``x[0]``, so fading a slice
-    ``x[lo:hi]`` with ``start=lo`` rotates each sample as fading the whole
-    stream would: its outputs from index ``max(taps)`` on are bitwise equal to
-    those of the whole stream at ``lo + max(taps)`` onward.  A zero-Doppler
-    path rotates by the constant ``exp(1j*phases[i])``.
+    ``start`` is the absolute sample index of ``x[0]``.  A Doppler path's
+    rotation comes from :func:`doppler_rotation`, whose block phase tables
+    are anchored at absolute indices, so fading a slice ``x[lo:hi]`` with
+    ``start=lo`` rotates each sample as fading the whole stream would: its
+    outputs from index ``max(taps)`` on are bitwise equal to those of the
+    whole stream at ``lo + max(taps)`` onward.  The rotations equal the
+    direct exponential above to rounding, not bitwise.  A zero-Doppler path
+    rotates by the constant ``exp(1j*phases[i])``.
     """
     x = np.asarray(x)
     n = x.size
-    k = np.arange(start, start + n)
     y = np.zeros(n, dtype=np.complex128)
     for tap, gain, nu, phi in zip(ch.taps, ch.gains, ch.doppler_hz, ch.phases):
         if tap >= n:
             continue
         if nu == 0.0:
-            rot = np.exp(1j * phi)
+            y[tap:] += gain * np.exp(1j * phi) * x[: n - tap]
         else:
-            rot = np.exp(1j * (2.0 * np.pi * nu * k[tap:] / ch.sample_rate_hz + phi))
-        y[tap:] += gain * rot * x[: n - tap]
+            rot = doppler_rotation(2.0 * np.pi * nu / ch.sample_rate_hz, phi,
+                                   start + tap, n - tap)
+            rot *= gain
+            rot *= x[: n - tap]
+            y[tap:] += rot
     return y
 
 
@@ -174,9 +204,11 @@ def apply_awgn(x: np.ndarray, snr_db: float, rng: np.random.Generator) -> np.nda
 
     Noise variance is P_sig * 10**(-snr_db/10) with P_sig the mean power of
     the input.  ``snr_db=inf`` is the explicit no-noise path; an all-zero
-    input has no defined SNR and is rejected.
+    input has no defined SNR and is rejected, and so are NaN and -inf.
     """
     x = np.asarray(x)
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ValueError(f"snr_db must be a number or +inf, got {snr_db}")
     if math.isinf(snr_db) and snr_db > 0:
         return x.astype(np.complex128, copy=True)
     p_sig = float(np.mean(np.abs(x) ** 2))

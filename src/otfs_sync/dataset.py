@@ -13,13 +13,15 @@ and positive theta is a late capture.  Only the window and the max(taps)
 samples of delay history before it pass through the channel, with each
 sample's Doppler rotation at its absolute index in the stream, so a
 noiseless window equals the one cut from the whole faded stream.  Noise is
-added to the window alone, at an SNR measured on the faded window.
+added to the window alone, at an SNR measured on the faded window.  All
+three grids are drawn in stream order, but a filler is transformed to
+serial samples only when that faded span reaches it.
 
 Every record is generated from its own RNG stream keyed by
 (global_seed, channel_id, record_index), which makes datasets reproducible
 byte-for-byte and records independent of generation order.
 
-File layout (little-endian), magic ``OTFSDS01``, format version 2:
+File layout (little-endian), magic ``OTFSDS01``, format version 3:
 
     header:  8s magic | u32 version | u32 M | u32 N | u32 L_CP
              | u64 record_count | u64 global_seed
@@ -34,12 +36,21 @@ that array as its columns.
 
 Version 1 files hold the same layout, but their channel faded the whole
 stream and their noise power was set from it, so their noisy windows differ
-from version 2's.  :func:`read_dataset` reads both versions, and a dataset
+from version 2's.
+
+Version 3 keeps the layout and the draws of version 2 but builds each
+Doppler rotation from block phase tables (see :mod:`otfs_sync.channel`)
+instead of one exponential per sample.  The rotations agree to rounding,
+so a float32 window value moves by one unit in the last place now and
+then (1 or 2 of 9,830,400 over 300 default-scale Rayleigh/EVA records);
+AWGN records, whose single tap has no Doppler, are byte-identical to
+version 2's.  :func:`read_dataset` reads versions 1, 2 and 3, and a dataset
 keeps its file's version in ``format_version``.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -65,8 +76,8 @@ from .frames import (
 )
 
 MAGIC = b"OTFSDS01"
-FORMAT_VERSION = 2
-READABLE_VERSIONS = (1, 2)
+FORMAT_VERSION = 3
+READABLE_VERSIONS = (1, 2, 3)
 _HEADER = struct.Struct("<8sIIIIQQ")
 
 DEFAULT_SNR_GRID_DB = tuple(float(s) for s in range(-20, 27, 2))
@@ -109,6 +120,9 @@ class DatasetConfig:
         self.pilot.validate_against(self.frame)
         if not self.snr_grid_db:
             raise ValueError("snr_grid_db must not be empty")
+        bad = [s for s in self.snr_grid_db if math.isnan(s) or s == -math.inf]
+        if bad:
+            raise ValueError(f"snr_grid_db entries must be numbers or +inf, got {bad}")
         if self.samples_per_channel < 1:
             raise ValueError("samples_per_channel must be >= 1")
         if self.blocks_per_frame < 1:
@@ -192,25 +206,36 @@ def synthesize_capture(
     if not -MN // 2 <= theta_raw < MN // 2:
         raise ValueError(f"theta_raw={theta_raw} outside [{-MN // 2}, {MN // 2})")
 
-    def filler() -> np.ndarray:
-        grid = dd_to_dt(build_dd_frame(frame, None, rng))
-        return grid.ravel(order="F")
+    def serial(grid_dd: np.ndarray) -> np.ndarray:
+        return dd_to_dt(grid_dd).ravel(order="F")
 
-    prepend = filler()
-    payload = dd_to_dt(build_dd_frame(frame, cfg.pilot, rng)).ravel(order="F")
+    # all three grids are drawn in stream order, so the RNG stream is the
+    # same whichever fillers the window reaches
+    prepend = build_dd_frame(frame, None, rng)
+    payload = serial(build_dd_frame(frame, cfg.pilot, rng))
+    append = build_dd_frame(frame, None, rng)
     block = np.concatenate([payload[-frame.L_CP:], payload]) if frame.L_CP else payload
     pre = zadoff_chu(cfg.preamble.length, cfg.preamble.root) if cfg.preamble else np.zeros(0)
-    append = filler()
-    stream = np.concatenate([prepend, pre, np.tile(block, cfg.blocks_per_frame), append])
+    body_end = MN + pre.size + cfg.blocks_per_frame * block.size
 
     ch = realize_channel(profile, cfg.sample_rate_hz, rng)
     start = MN + pre.size + frame.L_CP + theta_raw
-    # the window depends on the stream from max(taps) samples before it on
+    # the window depends on the stream from max(taps) samples before it on;
+    # a filler is transformed only when that span reaches it
     lo = max(start - int(ch.taps.max()), 0)
-    faded = apply_fading(stream[lo : start + MN], ch, start=lo)
+    parts = [pre, np.tile(block, cfg.blocks_per_frame)]
+    first = MN
+    if lo < MN:
+        parts.insert(0, serial(prepend))
+        first = 0
+    if start + MN > body_end:
+        parts.append(serial(append))
+    stream = np.concatenate(parts)
+    faded = apply_fading(stream[lo - first : start + MN - first], ch, start=lo)
     win = apply_awgn(faded[start - lo :], snr_db, rng)
+    planes = np.empty((2, MN), dtype=np.float32)
+    planes[0], planes[1] = win.real, win.imag
     wrapped, theta_t, theta_d = label_of(theta_raw, frame.M, frame.N)
-    planes = np.stack([win.real, win.imag]).astype(np.float32)
     return CaptureRecord(
         window=planes,
         channel_id=channel_id,

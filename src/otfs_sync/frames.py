@@ -151,7 +151,8 @@ def build_dd_frame(
     to the (real) pilot amplitude.  ``pilot=None`` yields an all-data grid,
     which is how the surrounding filler segments of a capture are built.
     """
-    grid = draw_data_symbols((frame.M, frame.N), frame.mod_order, rng).astype(np.complex128)
+    grid = draw_data_symbols((frame.M, frame.N), frame.mod_order, rng).astype(
+        np.complex128, copy=False)
     if pilot is not None:
         pilot.validate_against(frame)
         grid[pilot.guard_rows(frame.M), :] = 0.0

@@ -114,11 +114,11 @@ class SyncModel:
                     f"tensor {name!r} has shape {state[name].shape}, "
                     f"model expects {p.value.shape}"
                 )
-            p.value[...] = state[name].astype(p.value.dtype)
+            p.value[...] = state[name]
         for name, b in self.net.named_buffers():
             if name not in state:
                 raise KeyError(f"weights file is missing buffer {name!r}")
-            b[...] = state[name].astype(b.dtype)
+            b[...] = state[name]
 
 
 def check_geometry(M: int, N: int) -> None:
@@ -144,6 +144,27 @@ def trunk_tile(M: int, N: int, itemsize: int) -> int:
     return max(1, TILE_BYTES // (itemsize * widest))
 
 
+class _NoDraw:
+    """Initializer source for a net whose every tensor is about to be
+    overwritten: it draws nothing and hands out zeros."""
+
+    @staticmethod
+    def standard_normal(shape: tuple[int, ...]) -> np.ndarray:
+        return np.zeros(shape, dtype=np.float32)
+
+
+def _build(M: int, N: int, head: str, rng, dtype) -> SyncModel:
+    check_geometry(M, N)
+    children: list[tuple[str, object]] = []
+    for i, (name, cin, cout) in enumerate(TRUNK, start=1):
+        children.append((name, ResBlock(cin, cout, rng, dtype)))
+        children.append((f"pool{i}", MaxPool1d(2, 2)))
+    children.append(("flatten", Flatten()))
+    feat = TRUNK[-1][2] * (M * N // 8)
+    children.append(("fc", Linear(feat, head_classes(head, M, N), rng, dtype)))
+    return SyncModel(M, N, head, Sequential(children))
+
+
 def build_sync_model(
     M: int,
     N: int,
@@ -152,17 +173,8 @@ def build_sync_model(
     dtype=np.float32,
 ) -> SyncModel:
     """Instantiate the classifier for an M x N grid with the given head."""
-    check_geometry(M, N)
-    MN = M * N
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    children: list[tuple[str, object]] = []
-    for i, (name, cin, cout) in enumerate(TRUNK, start=1):
-        children.append((name, ResBlock(cin, cout, rng, dtype)))
-        children.append((f"pool{i}", MaxPool1d(2, 2)))
-    children.append(("flatten", Flatten()))
-    feat = TRUNK[-1][2] * (MN // 8)
-    children.append(("fc", Linear(feat, head_classes(head, M, N), rng, dtype)))
-    return SyncModel(M, N, head, Sequential(children))
+    return _build(M, N, head, rng, dtype)
 
 
 def save_model(path: str, model: SyncModel, metadata: dict[str, float] | None = None) -> None:
@@ -205,7 +217,8 @@ def load_model(path: str) -> tuple[SyncModel, dict[str, float]]:
 
     state, meta = split_metadata(load_tensors(path))
     head, M, N = check_weights_meta(path, meta)
-    model = build_sync_model(M, N, head)
+    # load_state fills every tensor, so the net's initial weights are not drawn
+    model = _build(M, N, head, _NoDraw, np.float32)
     try:
         model.load_state(state)
     except (KeyError, ValueError) as exc:

@@ -6,12 +6,14 @@ import pytest
 from otfs_sync.channel import (
     AWGN_PROFILE,
     EVA_PROFILE,
+    PHASE_BLOCK,
     RAYLEIGH_PROFILE,
     ChannelKind,
     ChannelProfile,
     PROFILES_BY_ID,
     apply_awgn,
     apply_fading,
+    doppler_rotation,
     realize_channel,
 )
 
@@ -147,6 +149,31 @@ class TestFading:
         assert np.allclose(y[3:], g * rot * x[:7])
 
 
+class TestDopplerRotation:
+    @pytest.mark.parametrize("k0,n", [
+        (0, PHASE_BLOCK - 5),        # fewer samples than one block
+        (37, 3 * PHASE_BLOCK),       # start inside a block
+        (PHASE_BLOCK - 1, 2),        # straddles one block boundary
+        (1000, 1),                   # a single sample
+        (0, 1),
+        (50_003, 16_409),            # far into a stream, window length
+    ])
+    @pytest.mark.parametrize("nu", [3051.0, -1525.0, 0.4])
+    def test_matches_direct_exponential(self, k0, n, nu):
+        w = 2.0 * np.pi * nu / FS
+        phi = 1.234
+        got = doppler_rotation(w, phi, k0, n)
+        want = np.exp(1j * (w * np.arange(k0, k0 + n) + phi))
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+    def test_value_depends_on_the_absolute_index_only(self):
+        w, phi = 2.0 * np.pi * 2890.0 / FS, 0.5
+        whole = doppler_rotation(w, phi, 0, 5000)
+        for k0, n in ((1, 7), (127, 130), (128, 1), (4321, 679)):
+            assert doppler_rotation(w, phi, k0, n).tobytes() == whole[k0 : k0 + n].tobytes()
+
+
 class TestNoise:
     def test_measured_snr(self):
         rng = _rng(21)
@@ -172,3 +199,8 @@ class TestNoise:
     def test_zero_signal_rejected(self):
         with pytest.raises(ValueError):
             apply_awgn(np.zeros(16, dtype=complex), 10.0, _rng())
+
+    @pytest.mark.parametrize("snr_db", [float("nan"), -np.inf])
+    def test_non_finite_snr_rejected(self, snr_db):
+        with pytest.raises(ValueError, match="snr_db"):
+            apply_awgn(np.ones(16, dtype=complex), snr_db, _rng())

@@ -77,7 +77,7 @@ class TestHappyPath:
         assert main(["info", "--dataset", str(workdir["dataset"])]) == 0
         out = capsys.readouterr().out
         assert "8 x 4" in out and "120" in out
-        assert "version      2" in out
+        assert "version      3" in out
 
     def test_info_weights(self, workdir, capsys):
         assert main(["info", "--weights", str(workdir["coarse"])]) == 0
@@ -198,6 +198,17 @@ class TestExitCodes:
     def test_missing_config_is_2(self, tmp_path):
         assert main(["gen", "--config", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "x.otfsds")]) == 2
+
+    @pytest.mark.parametrize("grid", [[float("-inf"), float("nan")], [10, float("nan")],
+                                      [float("-inf")]])
+    def test_non_finite_snr_grid_is_2(self, tmp_path, capsys, grid):
+        # json writes -Infinity and NaN, and Python's reader takes them
+        cfg = tmp_path / "nan.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "snr_grid_db": grid}))
+        out = tmp_path / "nan.otfsds"
+        assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "snr_grid_db" in capsys.readouterr().err
 
     def test_bad_dataset_magic_is_3(self, tmp_path):
         bad = tmp_path / "bad.otfsds"

@@ -194,6 +194,95 @@ class TestWindowOnlyChannel:
             assert np.mean(ratios) == pytest.approx(want, rel=0.05)
 
 
+def whole_stream_window(cfg, profile, theta, rng):
+    """Noiseless reference for any block count, with or without a preamble:
+    transform all three grids, fade the whole stream from index 0, then cut
+    the window."""
+    frame = cfg.frame
+    MN, L = frame.grid_size, frame.L_CP
+
+    def segment(pilot):
+        return dd_to_dt(build_dd_frame(frame, pilot, rng)).ravel(order="F")
+
+    prepend = segment(None)
+    payload = segment(cfg.pilot)
+    append = segment(None)
+    pre = (zadoff_chu(cfg.preamble.length, cfg.preamble.root) if cfg.preamble
+           else np.zeros(0, dtype=complex))
+    block = np.concatenate([payload[-L:], payload])
+    stream = np.concatenate([prepend, pre, np.tile(block, cfg.blocks_per_frame), append])
+    faded = apply_fading(stream, realize_channel(profile, cfg.sample_rate_hz, rng))
+    start = MN + pre.size + L + theta
+    win = faded[start : start + MN]
+    return np.stack([win.real, win.imag]).astype(np.float32)
+
+
+def fillers_reached(cfg, profile, theta):
+    """(prepend, append): which fillers the faded span [lo, start+MN) reaches."""
+    frame = cfg.frame
+    MN, L = frame.grid_size, frame.L_CP
+    pre = cfg.preamble.length if cfg.preamble else 0
+    max_tap = max(int(np.floor(d * cfg.sample_rate_hz / 1e9 + 0.5))
+                  for d in profile.delays_ns)
+    start = MN + pre + L + theta
+    body_end = MN + pre + cfg.blocks_per_frame * (MN + L)
+    return start - max_tap < MN, start + MN > body_end
+
+
+class TestFillerSkip:
+    """The window-only synthesis transforms a filler only where the faded
+    span reaches it; every branch must equal the whole-stream capture."""
+
+    @pytest.mark.parametrize("frame,pre", [
+        (TOY, PreambleConfig(length=64, root=5)),
+        (FrameConfig(), PreambleConfig(length=256, root=25)),
+    ], ids=["toy", "default"])
+    def test_noiseless_capture_matches_whole_stream(self, frame, pre):
+        MN, L = frame.grid_size, frame.L_CP
+        thetas = (-MN // 2, -(L + 1), -L // 2, 0, 1, MN // 2 - 1)
+        seen = set()
+        for blocks, preamble in ((1, None), (2, None), (2, pre)):
+            for profile in (AWGN_PROFILE, RAYLEIGH_PROFILE, EVA_PROFILE):
+                cfg = DatasetConfig(frame=frame, channels=(profile,), preamble=preamble,
+                                    blocks_per_frame=blocks, global_seed=3)
+                for i, theta in enumerate(thetas):
+                    rec = synthesize_capture(cfg, profile, 4, float("inf"), theta,
+                                             per_record_rng(6, blocks, i))
+                    want = whole_stream_window(cfg, profile, theta,
+                                               per_record_rng(6, blocks, i))
+                    where = (blocks, preamble is not None, profile.label, theta)
+                    assert rec.window.tobytes() == want.tobytes(), where
+                    seen.add(fillers_reached(cfg, profile, theta))
+        # prepend only, neither, append only
+        assert {(True, False), (False, False), (False, True)} <= seen
+
+
+class TestFormatVersion3:
+    def _sha_as_version(self, cfg, tmp_path, version):
+        path = tmp_path / "v.otfsds"
+        write_dataset(cfg, path)
+        _set_version(path, version)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_awgn_records_keep_their_version_2_bytes(self, tmp_path):
+        # the zero-Doppler path and the filler skip change no AWGN byte
+        toy = _toy_config(snr_grid_db=(0.0, 10.0, 20.0), samples_per_channel=200)
+        assert self._sha_as_version(toy, tmp_path, 2) == (
+            "3d19c958d536e8fefe38e0ab5b24b4a7b124b5d3ba4239dd745f3e7a361fadc9")
+        default = DatasetConfig(channels=(AWGN_PROFILE,), samples_per_channel=4,
+                                preamble=PreambleConfig(length=256, root=25),
+                                global_seed=11)
+        assert self._sha_as_version(default, tmp_path, 2) == (
+            "9dd30f718a617c355fb15b7c0a7e80d6a74be919881c81c31562598dafc0dfc4")
+
+    def test_noisy_toy_file_pin(self, tmp_path):
+        cfg = _toy_config(channels=(AWGN_PROFILE, RAYLEIGH_PROFILE, EVA_PROFILE),
+                          snr_grid_db=(0.0, 10.0, 20.0), samples_per_channel=40,
+                          preamble=PreambleConfig(length=64, root=5))
+        assert self._sha_as_version(cfg, tmp_path, 3) == (
+            "f197ffd842985aa915a5f7444a7fb90066ff1efb394112761b32ad4171fa38ff")
+
+
 class TestDeterminism:
     def test_identical_seeds_identical_records(self):
         cfg = _toy_config(channels=(RAYLEIGH_PROFILE,))
@@ -248,6 +337,13 @@ class TestConfig:
             _toy_config(train_fraction=0.0)
         with pytest.raises(ValueError):
             _toy_config(samples_per_channel=0)
+
+    @pytest.mark.parametrize("snr", [float("nan"), float("-inf")])
+    def test_non_finite_snr_rejected(self, snr):
+        # +inf is the noiseless path; NaN and -inf would write NaN windows
+        assert _toy_config(snr_grid_db=(float("inf"), 0.0)).snr_grid_db[0] == float("inf")
+        with pytest.raises(ValueError, match="snr_grid_db"):
+            _toy_config(snr_grid_db=(10.0, snr))
 
 
 class TestSplit:
@@ -306,7 +402,7 @@ class TestFileFormat:
         raw = path.read_bytes()
         magic, version, M, N, L_CP, count, seed = struct.unpack_from("<8sIIIIQQ", raw)
         assert magic == b"OTFSDS01"
-        assert version == 2
+        assert version == 3
         assert (M, N, L_CP) == (32, 8, 8)
         assert count == 2 and seed == 7
         rec_bytes = struct.calcsize("<BfiIHH") + 2 * 4 * M * N
@@ -345,7 +441,7 @@ class TestFileFormat:
     def test_rejects_unknown_version(self, tmp_path):
         path = tmp_path / "v.otfsds"
         write_dataset(_toy_config(samples_per_channel=1), path)
-        for version in (0, 3, 99):
+        for version in (0, 4, 99):
             _set_version(path, version)
             with pytest.raises(DataFormatError, match=f"unsupported format version {version}"):
                 read_dataset(path)
@@ -358,7 +454,7 @@ class TestFileFormat:
         v2 = read_dataset(path)
         _set_version(path, 1)
         v1 = read_dataset(path)
-        assert (v1.format_version, v2.format_version) == (1, 2)
+        assert (v1.format_version, v2.format_version) == (1, 3)
         assert (v1.M, v1.N, v1.L_CP, v1.global_seed) == (v2.M, v2.N, v2.L_CP, v2.global_seed)
         for name in ("windows", "channel_id", "snr_db", "theta_raw", "theta_wrapped",
                      "theta_t", "theta_d"):

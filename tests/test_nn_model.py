@@ -148,6 +148,33 @@ class TestWeightsFile:
         for k in want:
             assert np.array_equal(want[k], got[k]), k
 
+    @pytest.mark.parametrize("head", ["coarse", "fine", "onestage"])
+    def test_load_draws_no_initial_weights(self, tmp_path, monkeypatch, head):
+        # every tensor comes from the file, so loading builds no generator
+        model = build_sync_model(16, 4, head, seed=9)
+        path = tmp_path / "w.otfsnn"
+        save_model(str(path), model)
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("load_model drew initial weights")
+
+        monkeypatch.setattr(np.random, "Generator", no_generator)
+        loaded, _ = load_model(str(path))
+        want, got = model.state_dict(), loaded.state_dict()
+        assert sorted(want) == sorted(got)
+        for k in want:
+            assert got[k].dtype == want[k].dtype and np.array_equal(want[k], got[k]), k
+
+    def test_load_rejects_a_missing_buffer(self, tmp_path):
+        tensors = dict(build_sync_model(16, 4, "coarse").state_dict())
+        del tensors["rb1.main.bn7.running_var"]
+        tensors.update({"meta.M": np.float32(16), "meta.N": np.float32(4),
+                        "meta.head_code": np.float32(HEAD_CODES["coarse"])})
+        path = tmp_path / "nobuf.otfsnn"
+        save_tensors(str(path), tensors)
+        with pytest.raises(WeightsFormatError, match="running_var"):
+            load_model(str(path))
+
     def test_predictions_survive_round_trip(self, tmp_path):
         model = build_sync_model(16, 8, "fine", seed=6)
         X = _rng(7).standard_normal((12, 2, 128)).astype(np.float32)
