@@ -12,6 +12,11 @@ Both report a :class:`~otfs_sync.estimate.SyncEstimate`; analytic complexity
 counters for each are exposed alongside so cost comparisons never depend on
 how the surfaces happen to be vectorized.
 
+:func:`autocorr2d` works on the time-major rows of the window (row n is
+time slot n, M contiguous samples) and returns the surface as the (M, N)
+transpose, bitwise equal to its column-major closed form; it runs once per
+window.
+
 The matched filter also runs on stacks: :func:`cross_correlation_surface`
 transforms a ``(..., L)`` stack along its last axis, and
 :func:`crosscorr_offsets` estimates a whole ``(n, 2, L)`` stack of float
@@ -50,17 +55,36 @@ def autocorr2d(window: np.ndarray, M: int, N: int) -> np.ndarray:
 
     with cyclic column indexing.  With q[m, j] = conj(r[m, j]) r[m, (j+1) % N]
     the N-1 cyclic terms are every column of row m but column (n-1) % N, so
-    the surface is computed in closed form as the row sum of q minus q rolled
-    by one column: O(MN) work instead of the direct form's O(MN^2).  It
-    matches the direct sum to rounding (~1e-15 relative, not bitwise);
+    the surface is computed in closed form as the row sum of q minus q
+    shifted by one column: O(MN) work instead of the direct form's O(MN^2).
+    It matches the direct sum to rounding (~1e-15 relative, not bitwise);
     :func:`autocorr2d_macs` still counts the direct form.
+
+    The work runs on time-major rows: rt = r.T is (N, M), and its row n is
+    time slot n, M contiguous samples of the window.  q is built row by row
+    into one (N, M) array (its wrap row pairs slot N-1 with slot 0), summed
+    over its rows, and each surface row is that sum minus the previous q
+    row; the (M, N) surface is returned as the F-contiguous transpose.  The
+    products are the same contiguous multiplies and the sums over time run
+    in the same order as on the column-major grid, so the surface is bitwise
+    that of the closed form ``q.sum(axis=1, keepdims=True) -
+    np.roll(q, 1, axis=1)`` on r.
     """
     window = np.asarray(window, dtype=np.complex128)
     if window.size != M * N:
         raise ValueError(f"window has {window.size} samples, expected {M * N}")
-    r = window.reshape((M, N), order="F")
-    q = np.conj(r) * np.roll(r, -1, axis=1)
-    return q.sum(axis=1, keepdims=True) - np.roll(q, 1, axis=1)
+    rt = window.reshape((M, N), order="F").T
+    # pt holds conj(rt) until the surface overwrites it.  No product is taken
+    # in place: an in-place multiply of a one-element row (M = 1) rounds
+    # differently from the vector loop
+    pt = np.conjugate(rt)
+    q = np.empty_like(pt)
+    np.multiply(pt[:-1], rt[1:], out=q[:-1])
+    np.multiply(pt[-1], rt[0], out=q[-1])
+    s = q.sum(axis=0)
+    np.subtract(s, q[-1], out=pt[0])
+    np.subtract(s, q[:-1], out=pt[1:])
+    return pt.T
 
 
 def autocorr2d_sync(window: np.ndarray, M: int, N: int, m_p: int) -> SyncEstimate:
@@ -74,7 +98,7 @@ def autocorr2d_sync(window: np.ndarray, M: int, N: int, m_p: int) -> SyncEstimat
     completely flat surface is flagged as ambiguous.
     """
     P = autocorr2d(window, M, N)
-    row_scores = np.sum(np.abs(P), axis=1)
+    row_scores = np.abs(P.T).sum(axis=0)
     ambiguous = bool(np.all(row_scores == row_scores[0]))
     m_star = int(np.argmax(row_scores))
     theta_d = (m_p - m_star) % M

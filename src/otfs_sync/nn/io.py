@@ -9,6 +9,7 @@ travel in the same table.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -33,23 +34,29 @@ def save_tensors(path: str, tensors: dict[str, np.ndarray]) -> None:
             raw = name.encode("utf-8")
             if len(raw) > 0xFFFF:
                 raise ValueError(f"tensor name too long: {name[:32]}...")
-            arr = np.asarray(value, dtype="<f4")
+            arr = np.asarray(value, dtype="<f4", order="C")
             fh.write(_U16.pack(len(raw)))
             fh.write(raw)
             fh.write(_U8.pack(arr.ndim))
             for d in arr.shape:
                 fh.write(_U32.pack(d))
-            fh.write(arr.tobytes(order="C"))
+            fh.write(arr)
 
 
 def load_tensors(path: str) -> dict[str, np.ndarray]:
+    """Read every tensor of a weights file.
+
+    The file is read once into a buffer of its size, and the tensors are
+    float32 views of that buffer (not necessarily aligned), so loading holds
+    one copy of the file's bytes; the buffer lives as long as any view."""
     with open(path, "rb") as fh:
-        blob = fh.read()
+        buf = bytearray(os.fstat(fh.fileno()).st_size)
+        blob = memoryview(buf)[: fh.readinto(buf)]
     if len(blob) < len(MAGIC) + _U32.size:
         raise WeightsFormatError(f"{path}: file shorter than the weights header")
     if blob[: len(MAGIC)] != MAGIC:
         raise WeightsFormatError(
-            f"{path}: bad magic {blob[:len(MAGIC)]!r}, expected {MAGIC!r}"
+            f"{path}: bad magic {bytes(blob[:len(MAGIC)])!r}, expected {MAGIC!r}"
         )
     (count,) = _U32.unpack_from(blob, len(MAGIC))
     off = len(MAGIC) + _U32.size
@@ -58,7 +65,7 @@ def load_tensors(path: str) -> dict[str, np.ndarray]:
         try:
             (name_len,) = _U16.unpack_from(blob, off)
             off += _U16.size
-            name = blob[off : off + name_len].decode("utf-8")
+            name = str(blob[off : off + name_len], "utf-8")
             off += name_len
             (rank,) = _U8.unpack_from(blob, off)
             off += _U8.size
@@ -74,7 +81,7 @@ def load_tensors(path: str) -> dict[str, np.ndarray]:
             raise WeightsFormatError(f"{path}: truncated tensor table: {exc}") from exc
         if off > len(blob):
             raise WeightsFormatError(f"{path}: tensor data runs past end of file")
-        tensors[name] = data.reshape(dims).copy()
+        tensors[name] = data.reshape(dims)
     if off != len(blob):
         raise WeightsFormatError(
             f"{path}: {len(blob) - off} trailing bytes after the tensor table"

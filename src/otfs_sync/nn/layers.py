@@ -96,9 +96,9 @@ class Conv1d(Layer):
         self.pad = (kernel - 1) // 2
         fan_in = in_channels * kernel
         std = np.sqrt(2.0 / fan_in)
-        self.weight = Parameter(
-            (rng.standard_normal((out_channels, in_channels, kernel)) * std).astype(dtype)
-        )
+        w = rng.standard_normal((out_channels, in_channels, kernel))
+        w *= std
+        self.weight = Parameter(w.astype(dtype, copy=False))
         self.bias = Parameter(np.zeros(out_channels, dtype=dtype))
         self._cols: np.ndarray | None = None
 
@@ -303,9 +303,9 @@ class Linear(Layer):
         self.in_features = in_features
         self.out_features = out_features
         std = np.sqrt(2.0 / in_features)
-        self.weight = Parameter(
-            (rng.standard_normal((out_features, in_features)) * std).astype(dtype)
-        )
+        w = rng.standard_normal((out_features, in_features))
+        w *= std
+        self.weight = Parameter(w.astype(dtype, copy=False))
         self.bias = Parameter(np.zeros(out_features, dtype=dtype))
         self._x: np.ndarray | None = None
 

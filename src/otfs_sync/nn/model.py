@@ -106,19 +106,20 @@ class SyncModel:
         return state
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
-        for name, p in self.net.named_parameters():
+        """Copy every parameter and buffer from ``state``; a missing entry
+        raises KeyError and one whose shape differs from the model's raises
+        ValueError (no broadcasting)."""
+        targets = [("tensor", name, p.value) for name, p in self.net.named_parameters()]
+        targets += [("buffer", name, b) for name, b in self.net.named_buffers()]
+        for kind, name, dst in targets:
             if name not in state:
-                raise KeyError(f"weights file is missing tensor {name!r}")
-            if state[name].shape != p.value.shape:
+                raise KeyError(f"weights file is missing {kind} {name!r}")
+            if state[name].shape != dst.shape:
                 raise ValueError(
-                    f"tensor {name!r} has shape {state[name].shape}, "
-                    f"model expects {p.value.shape}"
+                    f"{kind} {name!r} has shape {state[name].shape}, "
+                    f"model expects {dst.shape}"
                 )
-            p.value[...] = state[name]
-        for name, b in self.net.named_buffers():
-            if name not in state:
-                raise KeyError(f"weights file is missing buffer {name!r}")
-            b[...] = state[name]
+            dst[...] = state[name]
 
 
 def check_geometry(M: int, N: int) -> None:

@@ -17,6 +17,7 @@ from otfs_sync.classic import (
 )
 from otfs_sync.dataset import DatasetConfig, PreambleConfig, per_record_rng, synthesize_capture
 from otfs_sync.channel import AWGN_PROFILE
+from otfs_sync.estimate import combine_offset
 from otfs_sync.frames import FrameConfig, PilotConfig, toy_frame_config, zadoff_chu
 
 
@@ -35,6 +36,25 @@ def autocorr2d_oracle(window, M, N):
                 acc += np.conj(r[m, (n + k) % N]) * r[m, (n + k + 1) % N]
             P[m, n] = acc
     return P
+
+
+def autocorr2d_closed_form(window, M, N):
+    """The column-major closed form: q on the (M, N) grid, its row sum, and
+    q rolled by one column.  The time-major ``autocorr2d`` must reproduce it
+    bit for bit."""
+    window = np.asarray(window, dtype=np.complex128)
+    r = window.reshape((M, N), order="F")
+    q = np.conj(r) * np.roll(r, -1, axis=1)
+    return q.sum(axis=1, keepdims=True) - np.roll(q, 1, axis=1)
+
+
+def autocorr2d_closed_form_theta(window, M, N, m_p):
+    """``theta_hat`` of the autocorr2d decision rule on the closed-form surface."""
+    P = autocorr2d_closed_form(window, M, N)
+    m_star = int(np.argmax(np.sum(np.abs(P), axis=1)))
+    theta_t = int(np.argmax(np.real(P[m_star, :])))
+    return combine_offset((m_p - m_star) % M, theta_t, M)
+
 
 def crosscorr_oracle(window, preamble):
     """Direct-sum reference for the cyclic matched-filter magnitude."""
@@ -90,6 +110,46 @@ class TestAutocorrSurface:
     def test_surface_shape(self):
         w = _rng(1).standard_normal(32) + 0j
         assert autocorr2d(w, 8, 4).shape == (8, 4)
+
+
+def _same_bits(got, want):
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and got.tobytes(order="F") == want.tobytes(order="F"))
+
+
+class TestAutocorrTimeMajor:
+    """``autocorr2d`` works on time-major rows but returns bitwise the
+    column-major closed form."""
+
+    @pytest.mark.parametrize("M,N", [(32, 8), (256, 64), (8, 4), (4, 2), (8, 1), (1, 8)])
+    def test_bitwise_equal_to_the_closed_form(self, M, N):
+        rng = _rng(M * 1000 + N)
+        for _ in range(20):
+            w = rng.standard_normal(M * N) + 1j * rng.standard_normal(M * N)
+            got = autocorr2d(w, M, N)
+            assert _same_bits(got, autocorr2d_closed_form(w, M, N))
+            assert got.flags.f_contiguous
+
+    @pytest.mark.parametrize("M,N", [(32, 8), (256, 64), (1, 8)])
+    def test_non_contiguous_window(self, M, N):
+        rng = _rng(7)
+        w = rng.standard_normal(2 * M * N) + 1j * rng.standard_normal(2 * M * N)
+        assert not w[::2].flags.contiguous
+        assert _same_bits(autocorr2d(w[::2], M, N), autocorr2d_closed_form(w[::2], M, N))
+
+    def test_float32_planes_and_real_windows(self):
+        rng = _rng(8)
+        planes = rng.standard_normal((2, 256)).astype(np.float32)
+        w = planes_to_complex(planes)
+        assert _same_bits(autocorr2d(w, 32, 8), autocorr2d_closed_form(w, 32, 8))
+        assert _same_bits(autocorr2d(planes[0], 32, 8), autocorr2d_closed_form(planes[0], 32, 8))
+
+    def test_sync_decision_matches_the_closed_form(self):
+        frame = toy_frame_config()
+        for theta in (-100, -37, -1, 0, 5, 17, 90):
+            w = _noiseless_capture(frame, theta, seed=21)
+            est = autocorr2d_sync(w, frame.M, frame.N, m_p=frame.M // 2)
+            assert est.theta_hat == autocorr2d_closed_form_theta(w, frame.M, frame.N, frame.M // 2)
 
 
 class TestAutocorrSync:

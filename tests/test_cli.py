@@ -267,6 +267,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "data format error" in err and "misfit.otfsnn" in err
 
+    def test_weights_buffer_of_the_wrong_shape_is_3(self, workdir, capsys):
+        # one running variance where the block has four channels
+        from otfs_sync.nn.io import save_tensors
+        from otfs_sync.nn.model import HEAD_CODES, build_sync_model
+
+        path = workdir["root"] / "onevar.otfsnn"
+        tensors = dict(build_sync_model(8, 4, "coarse").state_dict())
+        tensors["rb1.main.bn7.running_var"] = np.array([7.0], dtype=np.float32)
+        tensors.update({"meta.M": np.float32(8), "meta.N": np.float32(4),
+                        "meta.head_code": np.float32(HEAD_CODES["coarse"])})
+        save_tensors(str(path), tensors)
+        assert main([
+            "eval", "--method", "resnet2stage",
+            "--dataset", str(workdir["dataset"]),
+            "--weights", str(path), "--fine-weights", str(workdir["fine"]),
+        ]) == 3
+        err = capsys.readouterr().err
+        assert "data format error" in err and "running_var" in err
+
     @pytest.mark.parametrize("command", ["eval", "info"])
     def test_weights_geometry_the_trunk_cannot_take_is_3(self, workdir, capsys, command):
         # meta.M * meta.N = 15 is not divisible by the trunk's three halvings

@@ -23,6 +23,7 @@ from otfs_sync.metrics import (
     wrapped_error,
 )
 from otfs_sync.nn import build_sync_model, count_flops, param_count
+from test_classic import autocorr2d_closed_form_theta
 
 
 class FixedModel:
@@ -149,6 +150,31 @@ class TestStackedCrosscorr:
             finally:
                 tracemalloc.stop()
         assert peaks[64] <= 1.5 * peaks[8], peaks
+
+
+class TestTimeMajorAutocorr:
+    """``estimate_all("autocorr2d")`` gives exactly the estimates of the
+    column-major closed form and the same decision rule, record by record."""
+
+    @staticmethod
+    def _reference(ds, m_p):
+        return [autocorr2d_closed_form_theta(classic.planes_to_complex(ds.windows[i]),
+                                             ds.M, ds.N, m_p) for i in range(len(ds))]
+
+    def test_default_scale_matches_closed_form_loop(self, default_preamble_set):
+        ds, models = default_preamble_set
+        assert len(set(ds.channel_id.tolist())) == 3
+        assert sorted(set(ds.snr_db.tolist())) == [-20.0, 0.0, 20.0]
+        got = estimate_all(ds, "autocorr2d", models)
+        assert got.dtype == np.int64
+        assert got.tolist() == self._reference(ds, models.pilot_row)
+
+    def test_toy_scale_matches_closed_form_loop(self):
+        ds, models = _preamble_set(toy_frame_config(), 32,
+                                   (AWGN_PROFILE, RAYLEIGH_PROFILE, EVA_PROFILE),
+                                   (-20.0, 0.0, 20.0), 8, 44)
+        got = estimate_all(ds, "autocorr2d", models)
+        assert got.tolist() == self._reference(ds, models.pilot_row)
 
 
 class TestBenchTracerContract:

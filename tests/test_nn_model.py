@@ -175,6 +175,83 @@ class TestWeightsFile:
         with pytest.raises(WeightsFormatError, match="running_var"):
             load_model(str(path))
 
+    def test_load_rejects_a_buffer_of_the_wrong_shape(self, tmp_path):
+        # one running variance for four channels must not broadcast
+        tensors = dict(build_sync_model(16, 4, "coarse").state_dict())
+        tensors["rb1.main.bn7.running_var"] = np.array([7.0], dtype=np.float32)
+        tensors.update({"meta.M": np.float32(16), "meta.N": np.float32(4),
+                        "meta.head_code": np.float32(HEAD_CODES["coarse"])})
+        path = tmp_path / "buf.otfsnn"
+        save_tensors(str(path), tensors)
+        with pytest.raises(WeightsFormatError,
+                           match=r"buffer 'rb1.main.bn7.running_var' has shape \(1,\)"):
+            load_model(str(path))
+
+    def test_saved_bytes_of_a_seeded_model(self, tmp_path):
+        # pins the OTFSNN01 bytes of seeded toy models: initial draws, tensor
+        # order and float32 encoding of parameters, buffers and metadata
+        import hashlib
+
+        want = {
+            "coarse": "2e489718fe626de6ae3d14b50c0abc5da27c6cf06037a9de035bad20581f086d",
+            "fine": "e607388ec5e539988003b652da25faaea221fd78f724e19ebb9784d8b3098745",
+        }
+        for head, digest in want.items():
+            path = tmp_path / f"{head}.otfsnn"
+            save_model(str(path), build_sync_model(32, 8, head, seed=7),
+                       {"lr": 5e-3, "seed": 7.0})
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, head
+
+    def test_load_peak_is_three_file_sizes(self, tmp_path):
+        # the file's bytes once, the net's parameters and buffers, and their
+        # gradients: nothing is copied out of the file buffer before load_state
+        import tracemalloc
+
+        path = tmp_path / "peak.otfsnn"
+        save_model(str(path), build_sync_model(128, 32, "fine", seed=3))
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            loaded, _ = load_model(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.1 * size, (peak, size)
+        del loaded
+
+    def test_loaded_tensors_are_views_of_the_file_buffer(self, tmp_path):
+        path = tmp_path / "views.otfsnn"
+        save_tensors(str(path), {"a": np.arange(6, dtype=np.float32).reshape(2, 3),
+                                 "b": np.float32(2.5), "c": np.ones(5, dtype=np.float32)})
+        out = load_tensors(str(path))
+        assert all(not v.flags.owndata for v in out.values())
+        assert out["a"].tolist() == [[0, 1, 2], [3, 4, 5]] and out["b"].shape == ()
+
+    def test_save_writes_non_contiguous_and_float64_tensors(self, tmp_path):
+        a = np.arange(12, dtype=np.float64).reshape(3, 4)
+        path = tmp_path / "t.otfsnn"
+        save_tensors(str(path), {"t": a.T, "s": np.float64(1.5)})
+        out = load_tensors(str(path))
+        assert out["t"].dtype == np.dtype("<f4") and np.array_equal(out["t"], a.T)
+        assert out["s"].shape == () and out["s"] == 1.5
+
+    def test_truncation_and_trailing_messages(self, tmp_path):
+        path = tmp_path / "m.otfsnn"
+        save_tensors(str(path), {"w": np.ones(8, dtype=np.float32)})
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-5])
+        with pytest.raises(WeightsFormatError, match="truncated tensor table"):
+            load_tensors(str(path))
+        path.write_bytes(raw + b"\x00\x01")
+        with pytest.raises(WeightsFormatError, match="2 trailing bytes after the tensor table"):
+            load_tensors(str(path))
+        path.write_bytes(b"NOPE" + raw[4:])
+        with pytest.raises(WeightsFormatError, match=r"bad magic b'NOPENN01'"):
+            load_tensors(str(path))
+        path.write_bytes(raw[:10])
+        with pytest.raises(WeightsFormatError, match="shorter than the weights header"):
+            load_tensors(str(path))
+
     def test_predictions_survive_round_trip(self, tmp_path):
         model = build_sync_model(16, 8, "fine", seed=6)
         X = _rng(7).standard_normal((12, 2, 128)).astype(np.float32)
