@@ -24,13 +24,26 @@ import numpy as np
 
 
 class Parameter:
-    """A trainable array and its accumulated gradient."""
+    """A trainable array and its accumulated gradient.
 
-    __slots__ = ("value", "grad")
+    The gradient is allocated (as zeros) on first access, so a model that
+    only runs inference holds no gradient arrays."""
+
+    __slots__ = ("value", "_grad")
 
     def __init__(self, value: np.ndarray):
         self.value = value
-        self.grad = np.zeros_like(value)
+        self._grad: np.ndarray | None = None
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros_like(self.value)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray) -> None:
+        self._grad = value
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -60,6 +73,41 @@ class Layer:
         pass
 
 
+def _im2col(x: np.ndarray, k: int) -> np.ndarray:
+    """Columns (B, C*k, L) of the same-padded (B, C, L) input: row c*k + j
+    holds channel c shifted by tap j.  For k == 1 that is ``x`` itself."""
+    if k == 1:
+        return x
+    B, C, L = x.shape
+    pad = (k - 1) // 2
+    xp = np.zeros((B, C, L + 2 * pad), dtype=x.dtype)
+    xp[:, :, pad : pad + L] = x
+    s0, s1, s2 = xp.strides
+    win = np.ndarray((B, C, k, L), x.dtype, xp, 0, (s0, s1, s2, s2))
+    return win.reshape(B, C * k, L)
+
+
+def _input_grad_transposed(w: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    """Input gradient of a same-padded conv with (O, C, k) weight ``w`` as a
+    transposed convolution: the (C, O*k) tap-flipped, channel-swapped weight
+    times the im2col of ``gy``.  For k == 1 that is W2^T @ gy."""
+    O, C, k = w.shape
+    return w.transpose(1, 0, 2)[:, :, ::-1].reshape(C, O * k) @ _im2col(gy, k)
+
+
+def _input_grad_shifted(w: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    """The same gradient as the column gradient W2^T @ gy added back into
+    the zero-padded input, one contiguous shifted slice per tap."""
+    O, C, k = w.shape
+    B, _, L = gy.shape
+    pad = (k - 1) // 2
+    dcols = (w.reshape(O, C * k).T @ gy).reshape(B, C, k, L)
+    dxp = np.zeros((B, C, L + 2 * pad), dtype=gy.dtype)
+    for j in range(k):
+        dxp[:, :, j : j + L] += dcols[:, :, j]
+    return dxp[:, :, pad : pad + L]
+
+
 class Conv1d(Layer):
     """Same-padded 1-D cross-correlation with odd kernel size.
 
@@ -71,7 +119,12 @@ class Conv1d(Layer):
     the column tensor.  One broadcast matmul with the
     (out_channels, in_channels*kernel) weight matrix then lands directly in
     (B, out_channels, L).  Backward uses up the cached cols for the weight
-    gradient and adds the column gradient back into the padded input, one
+    gradient.  The input gradient is the transposed convolution (Dumoulin &
+    Visin 2016): the same im2col of the zero-padded output gradient times the
+    tap-flipped, channel-swapped (in_channels, out_channels*kernel) weight.
+    When a layer with kernel > 1 widens (out_channels > in_channels), the
+    gradient columns of that form outnumber the input's, so there the column
+    gradient W2^T @ gy is added back into the padded input instead, one
     contiguous shifted slice per tap.
 
     ``forward(x, cache=False, weight=W, bias=b)`` keeps no cols and applies
@@ -93,7 +146,6 @@ class Conv1d(Layer):
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel = kernel
-        self.pad = (kernel - 1) // 2
         fan_in = in_channels * kernel
         std = np.sqrt(2.0 / fan_in)
         w = rng.standard_normal((out_channels, in_channels, kernel))
@@ -108,15 +160,7 @@ class Conv1d(Layer):
         B, C, L = x.shape
         if C != self.in_channels:
             raise ValueError(f"expected {self.in_channels} input channels, got {C}")
-        k, pad = self.kernel, self.pad
-        if k == 1:
-            cols = x
-        else:
-            xp = np.zeros((B, C, L + 2 * pad), dtype=x.dtype)
-            xp[:, :, pad : pad + L] = x
-            s0, s1, s2 = xp.strides
-            win = np.ndarray((B, C, k, L), x.dtype, xp, 0, (s0, s1, s2, s2))
-            cols = win.reshape(B, C * k, L)
+        cols = _im2col(x, self.kernel)
         w = self.weight.value if weight is None else weight
         y = w.reshape(self.out_channels, -1) @ cols
         y += (self.bias.value if bias is None else bias)[:, None]
@@ -126,17 +170,12 @@ class Conv1d(Layer):
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
         cols, self._cols = self._cols, None
-        B, _, L = cols.shape
-        C, k, pad = self.in_channels, self.kernel, self.pad
         self.weight.grad += (gy @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(
             self.weight.shape)
         self.bias.grad += gy.sum(axis=(0, 2))
-        w2 = self.weight.value.reshape(self.out_channels, -1)
-        dcols = (w2.T @ gy).reshape(B, C, k, L)
-        dxp = np.zeros((B, C, L + 2 * pad), dtype=gy.dtype)
-        for j in range(k):
-            dxp[:, :, j : j + L] += dcols[:, :, j]
-        return dxp[:, :, pad : pad + L]
+        if self.kernel == 1 or self.out_channels <= self.in_channels:
+            return _input_grad_transposed(self.weight.value, gy)
+        return _input_grad_shifted(self.weight.value, gy)
 
     def named_parameters(self, prefix: str = "") -> list[tuple[str, Parameter]]:
         return [(prefix + "weight", self.weight), (prefix + "bias", self.bias)]
@@ -148,10 +187,12 @@ class BatchNorm1d(Layer):
 
     Normalization uses the biased batch variance, taken from the centred
     input; running statistics follow the same convention with momentum 0.1
-    (new = 0.9*old + 0.1*batch).  Eval mode normalizes with the running
-    statistics.  Forward caches the normalized input, so backward works in
-    both modes.  ``forward(x, cache=False)`` needs eval mode and applies the
-    running statistics as the per-channel affine map of :meth:`eval_affine`.
+    (new = 0.9*old + 0.1*batch).  Channel sums over (B, L) are taken as
+    matrix-vector products with ones(L), then summed over the batch.  Eval
+    mode normalizes with the running statistics.  Forward caches the
+    normalized input, so backward works in both modes.
+    ``forward(x, cache=False)`` needs eval mode and applies the running
+    statistics as the per-channel affine map of :meth:`eval_affine`.
     """
 
     def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1,
@@ -184,9 +225,11 @@ class BatchNorm1d(Layer):
             y += shift[:, None]
             return y
         if self.training:
-            mean = x.mean(axis=(0, 2))
+            ones = np.ones(x.shape[2], dtype=x.dtype)
+            n = x.shape[0] * x.shape[2]
+            mean = (x @ ones).sum(axis=0) / n
             xhat = x - mean[:, None]
-            var = np.square(xhat).mean(axis=(0, 2))
+            var = (np.square(xhat) @ ones).sum(axis=0) / n
             m = self.momentum
             self.running_mean *= 1 - m
             self.running_mean += m * mean
@@ -206,8 +249,9 @@ class BatchNorm1d(Layer):
     def backward(self, gy: np.ndarray) -> np.ndarray:
         xhat, self._xhat = self._xhat, None
         inv_std, self._inv_std = self._inv_std, None
-        sum_gy_xhat = np.sum(gy * xhat, axis=(0, 2))
-        sum_gy = np.sum(gy, axis=(0, 2))
+        ones = np.ones(gy.shape[2], dtype=gy.dtype)
+        sum_gy_xhat = ((gy * xhat) @ ones).sum(axis=0)
+        sum_gy = (gy @ ones).sum(axis=0)
         self.gamma.grad += sum_gy_xhat
         self.beta.grad += sum_gy
         scale = (self.gamma.value * inv_std)[:, None]

@@ -29,6 +29,11 @@ class AdamW:
         self.t = 0
         self.m = [np.zeros_like(p.value) for p in self.params]
         self.v = [np.zeros_like(p.value) for p in self.params]
+        # reading a gradient allocates it (as zeros) unless it is set; doing so
+        # here, with the moments and before any forward pass, keeps it from
+        # landing above (and pinning) a training step's activation cache
+        for p in self.params:
+            p.grad
 
     def zero_grad(self) -> None:
         for p in self.params:

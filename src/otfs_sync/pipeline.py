@@ -16,6 +16,7 @@ best-by-test-accuracy and the final weights.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import time
 from dataclasses import dataclass, field
@@ -74,6 +75,14 @@ class EpochStats:
     train_loss: float
     test_accuracy: float
     seconds: float
+    train_seconds: float
+    eval_seconds: float
+    samples: int
+
+    @property
+    def samples_per_s(self) -> float:
+        """Training samples per second of the epoch's training loop."""
+        return self.samples / self.train_seconds if self.train_seconds > 0 else 0.0
 
 
 @dataclass
@@ -94,6 +103,9 @@ class TrainReport:
                 "train_loss": round(e.train_loss, 6),
                 "test_accuracy": round(e.test_accuracy, 6),
                 "seconds": round(e.seconds, 3),
+                "train_seconds": round(e.train_seconds, 3),
+                "eval_seconds": round(e.eval_seconds, 3),
+                "samples_per_s": round(e.samples_per_s, 1),
             }))
         lines.append(json.dumps({
             "event": "train_end",
@@ -115,6 +127,36 @@ class TrainResult:
         return self.model
 
 
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_heap_for_training() -> None:
+    """Stop glibc from handing the training step's activation cache back to
+    the kernel between steps.
+
+    The forward pass caches tens of MB (im2col columns, batch-norm ``xhat``,
+    ReLU outputs) that backward frees again from the top of the heap.  Under
+    glibc's dynamic thresholds that free trims the heap, and the next forward
+    faults every page back in.  This raises ``M_MMAP_THRESHOLD`` to 32 MiB,
+    the glibc maximum, and ``M_TRIM_THRESHOLD`` to 64 MiB, together: setting
+    either alone switches off the dynamic adjustment of both and faults more.
+    Arrays above 32 MiB are still mapped and unmapped per allocation.
+
+    The setting is process-wide and cannot be undone; calling again sets the
+    same values.  Without glibc's ``mallopt`` (other C libraries, other
+    systems) this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def _train_classifier(
     head: str,
     X_train: np.ndarray,
@@ -134,6 +176,7 @@ def _train_classifier(
     report = TrainReport(head=head, hyper=hyper)
     best_state: dict[str, np.ndarray] | None = None
     n = X_train.shape[0]
+    _keep_heap_for_training()
     for epoch in range(hyper.epochs):
         t0 = time.perf_counter()
         model.train()
@@ -147,12 +190,17 @@ def _train_classifier(
             model.backward(glogits)
             opt.step()
             loss_sum += loss * idx.size
+        t1 = time.perf_counter()
         acc = float(np.mean(model.predict_classes(X_test, hyper.batch_size) == y_test))
+        t2 = time.perf_counter()
         stats = EpochStats(
             epoch=epoch,
             train_loss=loss_sum / n,
             test_accuracy=acc,
-            seconds=time.perf_counter() - t0,
+            seconds=t2 - t0,
+            train_seconds=t1 - t0,
+            eval_seconds=t2 - t1,
+            samples=n,
         )
         report.epochs.append(stats)
         if log is not None:

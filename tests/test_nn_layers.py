@@ -25,6 +25,7 @@ from otfs_sync.nn import (
     softmax,
     softmax_cross_entropy,
 )
+from otfs_sync.nn.layers import _input_grad_shifted, _input_grad_transposed
 
 TOL = 1e-4
 N_SHAPES = 20
@@ -162,6 +163,28 @@ class TestConv1d:
         with pytest.raises(ValueError):
             Conv1d(1, 1, 4, _rng(3))
 
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    @pytest.mark.parametrize("C_in,C_out", [(5, 2), (3, 3), (2, 6)])  # O < C, O = C, O > C
+    @pytest.mark.parametrize("B,L", [(1, 9), (2, 2), (3, 1), (4, 16)])  # B = 1; L < k
+    def test_transposed_input_gradient_matches_shifted_slices(self, k, C_in, C_out, B, L):
+        rng = _rng(k * 1000 + C_in * 100 + C_out * 10 + L)
+        w = rng.standard_normal((C_out, C_in, k))
+        gy = rng.standard_normal((B, C_out, L))
+        shifted = _input_grad_shifted(w, gy)
+        transposed = _input_grad_transposed(w, gy)
+        want = _conv_reference(rng.standard_normal((B, C_in, L)), w, np.zeros(C_out), gy)[1]
+        for got in (shifted, transposed):
+            assert got.shape == (B, C_in, L)
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
+        for dtype in (np.float32, np.float64):
+            conv = Conv1d(C_in, C_out, k, rng, dtype=dtype)
+            x = rng.standard_normal((B, C_in, L)).astype(dtype)
+            g = gy.astype(dtype)
+            conv.forward(x)
+            form = (_input_grad_transposed if k == 1 or C_out <= C_in
+                    else _input_grad_shifted)
+            assert np.array_equal(conv.backward(g), form(conv.weight.value, g))
+
     @pytest.mark.parametrize("seed", range(N_SHAPES))
     def test_gradients(self, seed):
         rng = _rng(seed)
@@ -200,6 +223,33 @@ class TestBatchNorm1d:
         want_var = 0.9 * 1.0 + 0.1 * x.var(axis=(0, 2))
         assert np.allclose(bn.running_mean, want_mean, atol=1e-12)
         assert np.allclose(bn.running_var, want_var, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("B,C,L", [(1, 1, 1), (1, 3, 7), (5, 2, 1), (64, 4, 256),
+                                       (64, 16, 64)])
+    def test_channel_sums_match_numpy_reductions(self, B, C, L, dtype, tol):
+        # each channel sum must agree with numpy's reduction up to tol times
+        # (1 + the sum of the absolute terms)
+        def assert_sum(got, terms, weight=1.0):
+            want = weight * terms.sum(axis=(0, 2))
+            bound = tol * (1.0 + weight * np.abs(terms).sum(axis=(0, 2)))
+            assert got.dtype == dtype and np.all(np.abs(got - want) <= bound)
+
+        rng = _rng(B * 100 + C * 10 + L)
+        bn = BatchNorm1d(C, dtype=dtype)  # running stats start at 0 and 1
+        x = (1.5 + 2.0 * rng.standard_normal((B, C, L))).astype(dtype)
+        gy = rng.standard_normal((B, C, L)).astype(dtype)
+        y = bn.forward(x)
+        n = B * L
+        mean = x.mean(axis=(0, 2))
+        centred = x - mean[:, None]
+        assert_sum(bn.running_mean / 0.1, x, 1.0 / n)
+        assert_sum((bn.running_var - 0.9) / 0.1, np.square(centred), 1.0 / n)
+        xhat = centred / np.sqrt(np.square(centred).mean(axis=(0, 2)) + bn.eps)[:, None]
+        assert np.max(np.abs(y - xhat)) <= 10 * tol * max(1.0, float(np.max(np.abs(xhat))))
+        bn.backward(gy)
+        assert_sum(bn.beta.grad, gy)
+        assert_sum(bn.gamma.grad, gy * xhat)
 
     def test_eval_mode_uses_running_stats(self):
         bn = BatchNorm1d(1, dtype=np.float64)
@@ -464,6 +514,23 @@ class TestLoss:
         num = numeric_grad(lambda: softmax_cross_entropy(logits, labels)[0], logits)
         denom = np.maximum(np.abs(g), 1e-6)
         assert np.max(np.abs(g - num) / denom) <= TOL
+
+
+class TestParameter:
+    def test_grad_is_zeros_allocated_on_first_use(self):
+        p = Parameter(np.arange(3, dtype=np.float32))
+        assert p._grad is None
+        assert p.grad.dtype == np.float32 and np.array_equal(p.grad, np.zeros(3))
+        assert p.grad is p.grad
+        p.grad += 2.0
+        assert np.array_equal(p.grad, np.full(3, 2.0))
+
+    def test_optimizer_allocates_missing_gradients(self):
+        params = [Parameter(np.ones(2)), Parameter(np.ones((2, 3)))]
+        params[0].grad[:] = 4.0
+        AdamW(params)
+        assert np.array_equal(params[0]._grad, np.full(2, 4.0))
+        assert np.array_equal(params[1]._grad, np.zeros((2, 3)))
 
 
 class TestAdamW:

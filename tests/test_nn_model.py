@@ -165,6 +165,25 @@ class TestWeightsFile:
         for k in want:
             assert got[k].dtype == want[k].dtype and np.array_equal(want[k], got[k]), k
 
+    def test_loaded_model_allocates_no_gradient(self, tmp_path):
+        # gradients are allocated on first use, so loading and inference
+        # peak at the file's bytes plus the net's parameters and buffers
+        import tracemalloc
+
+        path = tmp_path / "w.otfsnn"
+        save_model(str(path), build_sync_model(128, 32, "fine", seed=3))
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            loaded, _ = load_model(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * size, (peak, size)
+        loaded.predict_classes(_rng(6).standard_normal((3, 2, 128 * 32)).astype(np.float32))
+        assert [name for name, p in loaded.net.named_parameters()
+                if p._grad is not None] == []
+
     def test_load_rejects_a_missing_buffer(self, tmp_path):
         tensors = dict(build_sync_model(16, 4, "coarse").state_dict())
         del tensors["rb1.main.bn7.running_var"]
@@ -203,8 +222,9 @@ class TestWeightsFile:
             assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, head
 
     def test_load_peak_is_three_file_sizes(self, tmp_path):
-        # the file's bytes once, the net's parameters and buffers, and their
-        # gradients: nothing is copied out of the file buffer before load_state
+        # the file's bytes once and the net's parameters and buffers, with
+        # room to spare: nothing is copied out of the file buffer before
+        # load_state, and no gradient is allocated
         import tracemalloc
 
         path = tmp_path / "peak.otfsnn"
