@@ -35,10 +35,11 @@ from otfs_sync.metrics import (
     SweepModels,
     complexity_csv,
     complexity_report,
+    complexity_table,
+    condition_rows,
     estimate_all,
     overall_row,
     rows_to_csv,
-    sweep,
 )
 from otfs_sync.pipeline import (TrainHyper, save_training_result, train_coarse, train_fine,
                                 train_one_stage)
@@ -110,22 +111,19 @@ def main() -> int:
                          pilot_row=cfg.pilot.m_p)
 
     print("\noverall test metrics:")
-    rows = []
+    overall, per_condition = [], []
     for method in methods:
-        row = overall_row(test_ds, method, estimate_all(test_ds, method, models))
-        rows.append(row)
+        theta_hat = estimate_all(test_ds, method, models)
+        row = overall_row(test_ds, method, theta_hat)
+        overall.append(row)
+        per_condition.extend(condition_rows(test_ds, method, theta_hat))
         print(f"  {method:<14} accuracy {row.accuracy:.4f}  rmse {row.rmse:.3f}")
-    rows.extend(sweep(test_ds, methods, models))
-    (outdir / "metrics.csv").write_text(rows_to_csv(rows))
+    (outdir / "metrics.csv").write_text(rows_to_csv(overall + per_condition))
 
     cost = complexity_report(test_ds.M, test_ds.N, preamble_len=64,
                              models=models, repeats=25)
     (outdir / "complexity.csv").write_text(complexity_csv(cost))
-    print("\ncost per capture (toy geometry):")
-    for r in cost:
-        params = f"{r.params:,}" if r.params is not None else "-"
-        runtime = f"{1e3 * r.runtime_s:.2f} ms" if r.runtime_s is not None else "-"
-        print(f"  {r.method:<14} {r.flops:>12,} FLOPs  {params:>10} params  {runtime}")
+    print("\n" + complexity_table(cost, test_ds.M, test_ds.N), end="")
 
     print(f"\nartifacts in {outdir}/ (metrics.csv has the per-SNR table)")
     return 0

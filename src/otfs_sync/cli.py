@@ -20,6 +20,7 @@ from .metrics import (
     SweepModels,
     complexity_csv,
     complexity_report,
+    complexity_table,
     condition_rows,
     estimate_all,
     overall_row,
@@ -228,11 +229,7 @@ def _cmd_complexity(args: argparse.Namespace) -> int:
             fh.write(complexity_csv(rows))
         print(f"wrote complexity table to {args.out}")
     else:
-        print(f"{'method':<14}{'FLOPs':>16}{'params':>12}{'runtime_s':>12}")
-        for r in rows:
-            params = "-" if r.params is None else f"{r.params:,}"
-            runtime = "-" if r.runtime_s is None else f"{r.runtime_s:.4f}"
-            print(f"{r.method:<14}{r.flops:>16,}{params:>12}{runtime:>12}")
+        print(complexity_table(rows, M, N), end="")
     return 0
 
 
@@ -319,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_eval_flags(s)
     s.set_defaults(func=_cmd_sweep)
 
-    c = sub.add_parser("complexity", help="analytic FLOPs / params / measured runtime")
+    c = sub.add_parser("complexity", help="analytic FLOPs / params / measured runtime, "
+                                          "and each head's per-layer FLOPs")
     c.add_argument("--config", help="JSON config providing the geometry")
     c.add_argument("--M", type=int, default=256)
     c.add_argument("--N", type=int, default=64)

@@ -28,10 +28,24 @@ from .classic import (
 )
 from .dataset import Dataset
 from .frames import zadoff_chu
-from .nn.model import SyncModel, build_sync_model, count_flops, param_count
+from .nn.model import (
+    HEADS,
+    SyncModel,
+    build_sync_model,
+    count_flops,
+    flops_report,
+    param_count,
+    two_stage_flops,
+)
 from .pipeline import infer_one_stage, infer_two_stage
 
 METHODS = ("crosscorr", "autocorr2d", "resnet2stage", "resnet1stage")
+
+# the most parameters a head may have for complexity_report to build it just
+# to time it: every toy head and the default coarse (2.1M) and fine (8.4M)
+# heads, but not the 536.9M-parameter default one-stage head, which peaks at
+# about 12 bytes per parameter while it is built
+MAX_TIMED_PARAMS = 1 << 24
 
 
 def wrapped_error(theta_hat: np.ndarray, theta_true: np.ndarray, MN: int) -> np.ndarray:
@@ -255,58 +269,44 @@ def complexity_report(
     FLOPs count the paper's direct-form algorithms; runtimes time this
     implementation.  Cross-correlation is timed against the Zadoff-Chu
     preamble of length ``preamble_len`` with the default root 25, so that
-    length must be coprime with 25 when runtime is measured."""
+    length must be coprime with 25 when runtime is measured.  A head in
+    ``models`` is always timed; a missing one is built only when it has at
+    most :data:`MAX_TIMED_PARAMS` parameters, and a method left without a
+    live head gets ``runtime_s = None``."""
     MN = M * N
     if pilot_row is None:
         pilot_row = M // 2
     # parameter totals come from the architecture table so that nothing is
     # allocated unless a runtime measurement actually needs a live model
-    coarse = fine = onestage = None
+    live = {}
     if measure_runtime:
-        coarse = models.coarse if models and models.coarse else build_sync_model(M, N, "coarse")
-        fine = models.fine if models and models.fine else build_sync_model(M, N, "fine")
-        onestage = (models.onestage if models and models.onestage
-                    else build_sync_model(M, N, "onestage"))
+        for head in HEADS:
+            live[head] = getattr(models, head, None)
+            if live[head] is None and param_count(M, N, head) <= MAX_TIMED_PARAMS:
+                live[head] = build_sync_model(M, N, head)
+    coarse, fine, onestage = (live.get(head) for head in HEADS)
     rng = np.random.Generator(np.random.PCG64(12345))
     win_planes = rng.standard_normal((1, 2, MN)).astype(np.float32)
     win_complex = planes_to_complex(win_planes[0])
     preamble = zadoff_chu(preamble_len, 25) if measure_runtime else None
 
-    rows = [
-        ComplexityRow(
-            "resnet2stage",
-            count_flops(M, N, "coarse") + count_flops(M, N, "fine"),
-            param_count(M, N, "coarse") + param_count(M, N, "fine"),
-            _median_runtime(
-                lambda: infer_two_stage(win_planes, coarse, fine, 1), repeats
-            ) if measure_runtime else None,
-        ),
-        ComplexityRow(
-            "resnet1stage",
-            count_flops(M, N, "onestage"),
-            param_count(M, N, "onestage"),
-            _median_runtime(
-                lambda: onestage.predict_classes(win_planes, 1), repeats
-            ) if measure_runtime else None,
-        ),
-        ComplexityRow(
-            "crosscorr",
-            8 * crosscorr_macs(MN, preamble_len),
-            None,
-            _median_runtime(
-                lambda: cross_correlate_sync(win_complex, preamble, M), repeats,
-            ) if measure_runtime else None,
-        ),
-        ComplexityRow(
-            "autocorr2d",
-            8 * autocorr2d_macs(M, N),
-            None,
-            _median_runtime(
-                lambda: autocorr2d_sync(win_complex, M, N, pilot_row), repeats
-            ) if measure_runtime else None,
-        ),
+    costs = (
+        ("resnet2stage", two_stage_flops(M, N),
+         param_count(M, N, "coarse") + param_count(M, N, "fine"),
+         None if coarse is None or fine is None
+         else lambda: infer_two_stage(win_planes, coarse, fine, 1)),
+        ("resnet1stage", count_flops(M, N, "onestage"), param_count(M, N, "onestage"),
+         None if onestage is None else lambda: onestage.predict_classes(win_planes, 1)),
+        ("crosscorr", 8 * crosscorr_macs(MN, preamble_len), None,
+         lambda: cross_correlate_sync(win_complex, preamble, M)),
+        ("autocorr2d", 8 * autocorr2d_macs(M, N), None,
+         lambda: autocorr2d_sync(win_complex, M, N, pilot_row)),
+    )
+    return [
+        ComplexityRow(method, flops, params,
+                      _median_runtime(run, repeats) if measure_runtime and run else None)
+        for method, flops, params, run in costs
     ]
-    return rows
 
 
 def complexity_csv(rows: list[ComplexityRow]) -> str:
@@ -320,3 +320,19 @@ def complexity_csv(rows: list[ComplexityRow]) -> str:
             "" if r.runtime_s is None else f"{r.runtime_s:.6f}",
         ])
     return buf.getvalue()
+
+
+def complexity_table(rows: list[ComplexityRow], M: int, N: int) -> str:
+    """The per-method cost table, then each head's per-layer forward FLOPs
+    with its parameter count, then the two-stage forward total."""
+    out = [f"per-capture cost at M={M}, N={N}:",
+           f"{'method':<14}{'FLOPs':>16}{'params':>14}{'runtime_ms':>12}"]
+    for r in rows:
+        params = "-" if r.params is None else f"{r.params:,}"
+        runtime = "-" if r.runtime_s is None else f"{1e3 * r.runtime_s:.3f}"
+        out.append(f"{r.method:<14}{r.flops:>16,}{params:>14}{runtime:>12}")
+    for head in HEADS:
+        out.append(f"\n{head} head ({param_count(M, N, head):,} parameters):")
+        out.extend(f"  {line}" for line in flops_report(M, N, head).lines())
+    out.append(f"\ntwo-stage forward total: {two_stage_flops(M, N):,} FLOPs")
+    return "\n".join(out) + "\n"

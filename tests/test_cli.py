@@ -154,6 +154,19 @@ class TestHappyPath:
         for method in ("crosscorr", "autocorr2d", "resnet2stage", "resnet1stage"):
             assert method in out
 
+    def test_complexity_default_report(self, capsys):
+        assert main(["complexity", "--no-runtime"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        cost = {line.split()[0]: line.split()[1:] for line in lines[2:6]}
+        assert cost["crosscorr"] == ["33,554,432", "-", "-"]
+        assert cost["autocorr2d"] == ["8,257,536", "-", "-"]
+        assert cost["resnet2stage"] == ["186,646,848", "10,500,032", "-"]
+        for head, params in (("coarse", "2,104,192"), ("fine", "8,395,840"),
+                             ("onestage", "536,894,272")):
+            assert f"{head} head ({params} parameters):" in lines
+        assert any(line.split()[0] == "rb1.conv7" for line in lines if line.strip())
+        assert lines[-1] == "two-stage forward total: 186,646,848 FLOPs"
+
     def test_complexity_analytic_only_csv(self, workdir):
         out_csv = workdir["root"] / "complexity.csv"
         assert main([

@@ -1,5 +1,7 @@
 """Scoring math, sweep table shape, and the complexity report."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -310,3 +312,33 @@ class TestComplexity:
         lines = complexity_csv(rows).strip().split("\n")
         assert lines[0] == "method,flops,params,runtime_s"
         assert len(lines) == 5
+
+    def test_default_grid_builds_no_onestage_head(self, monkeypatch):
+        built = []
+
+        def recording(M, N, head):
+            built.append(head)
+            return build_sync_model(M, N, head)
+
+        monkeypatch.setattr(metrics, "build_sync_model", recording)
+        tracemalloc.start()
+        try:
+            rows = complexity_report(256, 64, repeats=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert built == ["coarse", "fine"]
+        assert peak < 256 << 20
+        by_method = {r.method: r for r in rows}
+        assert by_method["resnet1stage"].runtime_s is None
+        assert by_method["resnet2stage"].runtime_s is not None
+        assert "resnet1stage,1156595712,536894272,\n" in complexity_csv(rows)
+
+    def test_passed_head_is_timed_whatever_its_size(self, monkeypatch):
+        monkeypatch.setattr(metrics, "MAX_TIMED_PARAMS", 0)
+        models = SweepModels(onestage=build_sync_model(8, 4, "onestage"))
+        rows = complexity_report(8, 4, preamble_len=16, models=models, repeats=1)
+        by_method = {r.method: r for r in rows}
+        assert by_method["resnet1stage"].runtime_s is not None
+        assert by_method["resnet2stage"].runtime_s is None
+        assert by_method["crosscorr"].runtime_s is not None

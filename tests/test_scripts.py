@@ -4,10 +4,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from otfs_sync.nn.model import load_model
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 SCRIPT = SCRIPTS / "run_toy_experiment.py"
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in SCRIPTS.glob("*.py")))
+def test_script_parses_help(script):
+    done = subprocess.run([sys.executable, str(SCRIPTS / script), "--help"],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage:")
 
 
 def test_toy_experiment_writes_its_artifacts(tmp_path):
