@@ -21,7 +21,8 @@ The matched filter also runs on stacks: :func:`cross_correlation_surface`
 transforms a ``(..., L)`` stack along its last axis, and
 :func:`crosscorr_offsets` estimates a whole ``(n, 2, L)`` stack of float
 window planes a chunk of ``CHUNK_BYTES // (16 L)`` windows at a time (8 at
-256 x 64, 512 at 32 x 8).  Batched FFT lines are bitwise equal to
+256 x 64, 512 at 32 x 8), against one :func:`preamble_spectrum` computed
+once per call.  Batched FFT lines are bitwise equal to
 single-line ones, so stacked surfaces and estimates are exactly those of
 the per-window functions.
 """
@@ -113,22 +114,35 @@ def autocorr2d_sync(window: np.ndarray, M: int, N: int, m_p: int) -> SyncEstimat
     )
 
 
-def cross_correlation_surface(window: np.ndarray, preamble: np.ndarray) -> np.ndarray:
-    """Cyclic matched-filter magnitude c[tau] = |sum_i conj(p[i]) w[(tau+i) % L]|.
-
-    ``window`` may be a ``(..., L)`` stack; every window is filtered along
-    the last axis against one preamble spectrum, and each row of the result
-    is bitwise the surface of that window alone.
-    """
-    w = np.asarray(window)
+def preamble_spectrum(preamble: np.ndarray, L: int) -> np.ndarray:
+    """conj(FFT) of the preamble zero-padded to length ``L``: the filter of
+    :func:`cross_correlation_surface`."""
     p = np.asarray(preamble)
-    L = w.shape[-1]
     if p.size > L:
         raise ValueError(f"preamble ({p.size}) longer than window ({L})")
     p_pad = np.zeros(L, dtype=np.complex128)
     p_pad[: p.size] = p
+    return np.conj(np.fft.fft(p_pad))
+
+
+def cross_correlation_surface(
+    window: np.ndarray,
+    preamble: np.ndarray,
+    spectrum: np.ndarray | None = None,
+) -> np.ndarray:
+    """Cyclic matched-filter magnitude c[tau] = |sum_i conj(p[i]) w[(tau+i) % L]|.
+
+    ``window`` may be a ``(..., L)`` stack; every window is filtered along
+    the last axis against one preamble spectrum, and each row of the result
+    is bitwise the surface of that window alone.  A caller filtering many
+    stacks passes ``spectrum = preamble_spectrum(preamble, L)`` once, and
+    the surface is bitwise the same.
+    """
+    w = np.asarray(window)
+    if spectrum is None:
+        spectrum = preamble_spectrum(preamble, w.shape[-1])
     spec = np.fft.fft(w, axis=-1).astype(np.complex128, copy=False)
-    spec *= np.conj(np.fft.fft(p_pad))
+    spec *= spectrum
     return np.abs(np.fft.ifft(spec, axis=-1))
 
 
@@ -171,15 +185,18 @@ def crosscorr_offsets(
     of an ``(n, 2, L)`` stack of real/imaginary float planes, as int64.
 
     Windows are converted and filtered ``max(1, CHUNK_BYTES // (16 L))`` at a
-    time, so the temporaries stay a few MiB whatever ``n`` is.  The decision
-    is ``(preamble_offset - argmax c) % L`` with ties to the smallest lag.
+    time, so the temporaries stay a few MiB whatever ``n`` is; the preamble
+    spectrum is computed once for all chunks.  The decision is
+    ``(preamble_offset - argmax c) % L`` with ties to the smallest lag.
     """
     planes = np.asarray(planes)
     n, L = planes.shape[0], planes.shape[-1]
+    spectrum = preamble_spectrum(preamble, L)
     rows = max(1, CHUNK_BYTES // (16 * L))
     out = np.empty(n, dtype=np.int64)
     for lo in range(0, n, rows):
-        c = cross_correlation_surface(planes_to_complex(planes[lo:lo + rows]), preamble)
+        c = cross_correlation_surface(planes_to_complex(planes[lo:lo + rows]), preamble,
+                                      spectrum)
         out[lo:lo + rows] = (preamble_offset - np.argmax(c, axis=-1)) % L
     return out
 

@@ -28,7 +28,7 @@ from .metrics import (
     snrs_on_grid,
     sweep,
 )
-from .nn.io import WeightsFormatError, load_tensors, split_metadata
+from .nn.io import WeightsFormatError, read_metadata, read_table
 from .nn.model import check_weights_meta, load_model
 from .pipeline import TrainHyper, save_training_result, train_coarse, train_fine, train_one_stage
 
@@ -249,12 +249,16 @@ def _cmd_info(args: argparse.Namespace) -> int:
             snrs = np.unique(ds.snr_db[ds.channel_id == cid])
             print(f"  channel {cid}: {cnt} records, SNR {snrs.min():g}..{snrs.max():g} dB")
     else:
-        state, meta = split_metadata(load_tensors(args.weights))
+        # the table and the meta.* scalars only: no tensor data is read
+        with open(args.weights, "rb") as fh:
+            table = read_table(fh, args.weights)
+            meta = read_metadata(fh, args.weights, table)
         head, M, N = check_weights_meta(args.weights, meta)
         print(f"weights {args.weights}")
         print(f"  head     {head}")
         print(f"  geometry M={M} N={N}")
-        n_params = sum(v.size for k, v in state.items() if "running_" not in k)
+        state = {k: e for k, e in table.items() if not k.startswith("meta.")}
+        n_params = sum(e.count for k, e in state.items() if "running_" not in k)
         print(f"  tensors  {len(state)} ({n_params:,} parameter scalars)")
         for key in sorted(meta):
             if key not in ("M", "N", "head_code"):

@@ -6,7 +6,10 @@ parameter gradients into ``Parameter.grad`` and returns the input gradient.
 A network is trained by calling ``forward``, seeding the output gradient
 from the loss, and walking ``backward`` in reverse order (containers do the
 walking).  One backward per forward: once backward has run, the layer holds
-no array from that step.
+no array from that step.  ``backward(gy, input_grad=False)`` on a conv, a
+linear layer or a container accumulates the same parameter gradients,
+skips the input gradient and returns None; a container passes the flag to
+its first child, so training skips the gradient of the network's input.
 
 ``forward(x, cache=False)`` is the inference path: nothing is kept for
 backward, and the layers that normalize must be in eval mode (they raise
@@ -21,6 +24,34 @@ run in float64 for finite-difference gradient verification.
 from __future__ import annotations
 
 import numpy as np
+
+
+# float64 bytes of one block of initial-weight draws
+INIT_BLOCK_BYTES = 1 << 20
+
+
+def he_normal(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator | None,
+              dtype) -> np.ndarray:
+    """Initial weights N(0, 2/fan_in) of ``shape`` in ``dtype`` (He et al. 2015).
+
+    The standard normals are drawn as float64 in C order, ``INIT_BLOCK_BYTES``
+    at a time, and each block is scaled and written into the preallocated
+    array, so building holds one ``dtype`` copy of the weights plus one block.
+    A generator yields the same stream in blocks as in one draw, so the
+    weights are bitwise those of one float64 draw scaled and cast.  With
+    ``rng=None`` nothing is drawn and the weights are zeros, for a net whose
+    every tensor is about to be overwritten."""
+    if rng is None:
+        return np.zeros(shape, dtype=dtype)
+    w = np.empty(shape, dtype=dtype)
+    flat = w.reshape(-1)
+    std = np.sqrt(2.0 / fan_in)
+    step = INIT_BLOCK_BYTES // 8
+    for lo in range(0, flat.size, step):
+        block = rng.standard_normal(min(step, flat.size - lo))
+        block *= std
+        flat[lo : lo + block.size] = block
+    return w
 
 
 class Parameter:
@@ -131,6 +162,10 @@ class Conv1d(Layer):
     the given (out_channels, in_channels, kernel) weight and bias in place of
     the layer's own parameters: a residual block passes its batch-norm-folded
     copies this way at inference.
+
+    The weight starts He-normal with fan-in in_channels*kernel, drawn from
+    ``rng`` by :func:`he_normal`, and the bias at zero; ``rng=None`` starts
+    the weight at zero too and draws nothing.
     """
 
     def __init__(
@@ -138,7 +173,7 @@ class Conv1d(Layer):
         in_channels: int,
         out_channels: int,
         kernel: int,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
         dtype=np.float32,
     ):
         if kernel % 2 != 1:
@@ -146,11 +181,8 @@ class Conv1d(Layer):
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel = kernel
-        fan_in = in_channels * kernel
-        std = np.sqrt(2.0 / fan_in)
-        w = rng.standard_normal((out_channels, in_channels, kernel))
-        w *= std
-        self.weight = Parameter(w.astype(dtype, copy=False))
+        self.weight = Parameter(he_normal((out_channels, in_channels, kernel),
+                                          in_channels * kernel, rng, dtype))
         self.bias = Parameter(np.zeros(out_channels, dtype=dtype))
         self._cols: np.ndarray | None = None
 
@@ -168,11 +200,13 @@ class Conv1d(Layer):
             self._cols = cols
         return y
 
-    def backward(self, gy: np.ndarray) -> np.ndarray:
+    def backward(self, gy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         cols, self._cols = self._cols, None
         self.weight.grad += (gy @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(
             self.weight.shape)
         self.bias.grad += gy.sum(axis=(0, 2))
+        if not input_grad:
+            return None
         if self.kernel == 1 or self.out_channels <= self.in_channels:
             return _input_grad_transposed(self.weight.value, gy)
         return _input_grad_shifted(self.weight.value, gy)
@@ -342,14 +376,17 @@ class Flatten(Layer):
 
 
 class Linear(Layer):
-    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator,
+    """y = x W^T + b on (B, in_features) rows.  The weight starts He-normal
+    with fan-in in_features (:func:`he_normal`; zeros for ``rng=None``) and
+    the bias at zero."""
+
+    def __init__(self, in_features: int, out_features: int,
+                 rng: np.random.Generator | None,
                  dtype=np.float32):
         self.in_features = in_features
         self.out_features = out_features
-        std = np.sqrt(2.0 / in_features)
-        w = rng.standard_normal((out_features, in_features))
-        w *= std
-        self.weight = Parameter(w.astype(dtype, copy=False))
+        self.weight = Parameter(he_normal((out_features, in_features), in_features,
+                                          rng, dtype))
         self.bias = Parameter(np.zeros(out_features, dtype=dtype))
         self._x: np.ndarray | None = None
 
@@ -358,11 +395,11 @@ class Linear(Layer):
             self._x = x
         return x @ self.weight.value.T + self.bias.value
 
-    def backward(self, gy: np.ndarray) -> np.ndarray:
+    def backward(self, gy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         x, self._x = self._x, None
         self.weight.grad += gy.T @ x
         self.bias.grad += gy.sum(axis=0)
-        return gy @ self.weight.value
+        return gy @ self.weight.value if input_grad else None
 
     def named_parameters(self, prefix: str = "") -> list[tuple[str, Parameter]]:
         return [(prefix + "weight", self.weight), (prefix + "bias", self.bias)]
@@ -379,10 +416,11 @@ class Sequential(Layer):
             x = layer.forward(x, cache=cache)
         return x
 
-    def backward(self, gy: np.ndarray) -> np.ndarray:
-        for _, layer in reversed(self.children):
+    def backward(self, gy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        (_, first), *rest = self.children
+        for _, layer in reversed(rest):
             gy = layer.backward(gy)
-        return gy
+        return first.backward(gy) if input_grad else first.backward(gy, input_grad=False)
 
     def named_parameters(self, prefix: str = "") -> list[tuple[str, Parameter]]:
         out = []
@@ -424,9 +462,13 @@ class ResBlock(Layer):
     ``Conv1d.forward(h, cache=False, weight=W', bias=b')``.  The ReLUs and
     the residual add then work in place on the block's own temporaries; the
     caller's ``x`` is never written.
+
+    The convs draw their initial weights from ``rng`` in construction order:
+    conv7, conv5, conv3, then the shortcut conv1 (all zeros for ``rng=None``).
     """
 
-    def __init__(self, in_channels: int, out_channels: int, rng: np.random.Generator,
+    def __init__(self, in_channels: int, out_channels: int,
+                 rng: np.random.Generator | None,
                  dtype=np.float32):
         self.main = Sequential([
             ("conv7", Conv1d(in_channels, out_channels, 7, rng, dtype)),
@@ -466,14 +508,11 @@ class ResBlock(Layer):
         np.maximum(f, 0, out=f)
         return f
 
-    def backward(self, gy: np.ndarray) -> np.ndarray:
+    def backward(self, gy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         g = self.relu_out.backward(gy)
-        gx = self.main.backward(g)
-        if self.shortcut is None:
-            gx = gx + g
-        else:
-            gx = gx + self.shortcut.backward(g)
-        return gx
+        gx = self.main.backward(g, input_grad)
+        h = g if self.shortcut is None else self.shortcut.backward(g, input_grad)
+        return gx + h if input_grad else None
 
     def named_parameters(self, prefix: str = "") -> list[tuple[str, Parameter]]:
         out = self.main.named_parameters(f"{prefix}main.")

@@ -10,6 +10,7 @@ the same architecture table that builds the network.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +51,12 @@ class SyncModel:
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self.net.forward(x)
 
-    def backward(self, gy: np.ndarray) -> np.ndarray:
-        return self.net.backward(gy)
+    def backward(self, gy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Accumulate every parameter gradient from the score gradient ``gy``
+        and return the input gradient; ``input_grad=False`` skips the input
+        gradient (the parameter gradients are bitwise the same) and returns
+        None."""
+        return self.net.backward(gy, input_grad)
 
     def train(self) -> None:
         self.net.set_training(True)
@@ -105,20 +110,29 @@ class SyncModel:
         state.update({name: b for name, b in self.net.named_buffers()})
         return state
 
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        """Copy every parameter and buffer from ``state``; a missing entry
-        raises KeyError and one whose shape differs from the model's raises
-        ValueError (no broadcasting)."""
+    def state_targets(self, entries: Mapping) -> list[tuple[str, np.ndarray]]:
+        """Every parameter and buffer array by name, in :meth:`state_dict`
+        order, once ``entries`` (arrays or weights-file table entries, any
+        value with a ``shape``) is checked to name each of them with the
+        model's shape: a missing entry raises KeyError and a different shape
+        raises ValueError (no broadcasting).  Extra entries are ignored."""
         targets = [("tensor", name, p.value) for name, p in self.net.named_parameters()]
         targets += [("buffer", name, b) for name, b in self.net.named_buffers()]
         for kind, name, dst in targets:
-            if name not in state:
+            if name not in entries:
                 raise KeyError(f"weights file is missing {kind} {name!r}")
-            if state[name].shape != dst.shape:
+            if entries[name].shape != dst.shape:
                 raise ValueError(
-                    f"{kind} {name!r} has shape {state[name].shape}, "
+                    f"{kind} {name!r} has shape {entries[name].shape}, "
                     f"model expects {dst.shape}"
                 )
+        return [(name, dst) for _, name, dst in targets]
+
+    def load_state(self, state: dict[str, np.ndarray]) -> None:
+        """Copy every parameter and buffer from ``state``, after checking
+        every shape as :meth:`state_targets` does (nothing is copied if one
+        is missing or does not match)."""
+        for name, dst in self.state_targets(state):
             dst[...] = state[name]
 
 
@@ -145,15 +159,6 @@ def trunk_tile(M: int, N: int, itemsize: int) -> int:
     return max(1, TILE_BYTES // (itemsize * widest))
 
 
-class _NoDraw:
-    """Initializer source for a net whose every tensor is about to be
-    overwritten: it draws nothing and hands out zeros."""
-
-    @staticmethod
-    def standard_normal(shape: tuple[int, ...]) -> np.ndarray:
-        return np.zeros(shape, dtype=np.float32)
-
-
 def _build(M: int, N: int, head: str, rng, dtype) -> SyncModel:
     check_geometry(M, N)
     children: list[tuple[str, object]] = []
@@ -173,7 +178,14 @@ def build_sync_model(
     seed: int = 0,
     dtype=np.float32,
 ) -> SyncModel:
-    """Instantiate the classifier for an M x N grid with the given head."""
+    """Instantiate the classifier for an M x N grid with the given head.
+
+    Initial weights are drawn from one generator seeded with ``seed``, layer
+    by layer in trunk order, in float64 blocks of at most
+    ``layers.INIT_BLOCK_BYTES`` written straight into each parameter (see
+    :func:`~otfs_sync.nn.layers.he_normal`): building holds one ``dtype``
+    copy of the weights, and a seeded model is bitwise the same as one
+    drawn whole."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     return _build(M, N, head, rng, dtype)
 
@@ -213,18 +225,27 @@ def check_weights_meta(path: str, meta: dict[str, float]) -> tuple[str, int, int
 
 
 def load_model(path: str) -> tuple[SyncModel, dict[str, float]]:
-    """Rebuild a classifier from a weights file; returns (model, metadata)."""
-    from .io import WeightsFormatError, load_tensors, split_metadata
+    """Rebuild a classifier from a weights file; returns (model, metadata).
 
-    state, meta = split_metadata(load_tensors(path))
-    head, M, N = check_weights_meta(path, meta)
-    # load_state fills every tensor, so the net's initial weights are not drawn
-    model = _build(M, N, head, _NoDraw, np.float32)
-    try:
-        model.load_state(state)
-    except (KeyError, ValueError) as exc:
-        # tensors that do not fit the file's own meta.M/meta.N/meta.head_code
-        raise WeightsFormatError(f"{path}: {exc.args[0]}") from exc
+    The tensor table and the ``meta.*`` scalars are read and checked first
+    (:func:`~otfs_sync.nn.io.read_table`, :func:`check_weights_meta`).  A
+    zero net is then built for that head and grid, drawing nothing, and each
+    parameter and buffer is read from the file straight into its array, so
+    loading holds one copy of the weights."""
+    from .io import WeightsFormatError, read_into, read_metadata, read_table
+
+    with open(path, "rb") as fh:
+        table = read_table(fh, path)
+        meta = read_metadata(fh, path, table)
+        head, M, N = check_weights_meta(path, meta)
+        model = _build(M, N, head, None, np.float32)
+        try:
+            targets = model.state_targets(table)
+        except (KeyError, ValueError) as exc:
+            # tensors that do not fit the file's own meta.M/meta.N/meta.head_code
+            raise WeightsFormatError(f"{path}: {exc.args[0]}") from exc
+        for name, dst in targets:
+            read_into(fh, path, table[name], dst)
     return model, meta
 
 

@@ -187,7 +187,7 @@ def _train_classifier(
             logits = model.forward(X_train[idx])
             loss, glogits = softmax_cross_entropy(logits, y_train[idx])
             opt.zero_grad()
-            model.backward(glogits)
+            model.backward(glogits, input_grad=False)
             opt.step()
             loss_sum += loss * idx.size
         t1 = time.perf_counter()

@@ -276,6 +276,34 @@ class TestStackedCrossCorrelation:
         assert got.dtype == np.int64 and got.tolist() == want
         assert want[5] == theta % MN
 
+    def test_one_preamble_spectrum_per_call(self, monkeypatch):
+        # every chunk still goes through cross_correlation_surface with the
+        # preamble as its second argument (the benchmark tracer counts MACs
+        # from it), against a spectrum computed once per call
+        from otfs_sync import classic
+
+        spectra, chunks = [], []
+        spectrum, surface = classic.preamble_spectrum, classic.cross_correlation_surface
+
+        def counting_spectrum(*args):
+            spectra.append(args)
+            return spectrum(*args)
+
+        def recording_surface(*args):
+            chunks.append((args[0].shape, args[1].size))
+            return surface(*args)
+
+        monkeypatch.setattr(classic, "preamble_spectrum", counting_spectrum)
+        monkeypatch.setattr(classic, "cross_correlation_surface", recording_surface)
+        p = zadoff_chu(32, 25)
+        planes = _rng(4).standard_normal((1100, 2, 256)).astype(np.float32)
+        got = crosscorr_offsets(planes, p, -40)
+        assert len(spectra) == 1
+        assert chunks == [((512, 256), 32), ((512, 256), 32), ((76, 256), 32)]
+        windows = planes_to_complex(planes)
+        want = [cross_correlate_sync(w, p, 32, -40).theta_hat for w in windows[::97]]
+        assert got[::97].tolist() == want
+
     def test_planes_to_complex_is_the_float64_conversion(self):
         planes = _rng(3).standard_normal((4, 2, 64)).astype(np.float32)
         want = planes[:, 0].astype(np.float64) + 1j * planes[:, 1].astype(np.float64)

@@ -4,6 +4,7 @@ Commands run through ``main(argv)`` in-process; one smoke test exercises the
 installed ``otfs-sync`` console script for the packaging contract.
 """
 
+import io
 import json
 import shutil
 import struct
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from otfs_sync.cli import main
+from otfs_sync.nn import load_tensors
 
 TINY_CONFIG = {
     "frame": {"M": 8, "N": 4, "L_CP": 4},
@@ -83,6 +85,37 @@ class TestHappyPath:
         assert main(["info", "--weights", str(workdir["coarse"])]) == 0
         out = capsys.readouterr().out
         assert "coarse" in out and "M=8 N=4" in out
+
+    def test_info_weights_reads_no_tensor_data(self, workdir, capsys, monkeypatch):
+        # the tensor table and the meta.* scalars only, counted at every read
+        # of a file the weights reader opens
+        from otfs_sync.nn import io as nn_io
+
+        path = workdir["onestage"]
+        tensors = load_tensors(str(path))
+        data = 4 * sum(v.size for k, v in tensors.items() if not k.startswith("meta."))
+        header = path.stat().st_size - data
+        sizes = []
+
+        class Counting(io.BufferedReader):
+            def read(self, *args):
+                out = super().read(*args)
+                sizes.append(len(out))
+                return out
+
+            def readinto(self, buf):
+                sizes.append(super().readinto(buf))
+                return sizes[-1]
+
+        def counting_open(path, mode="rb"):
+            return Counting(io.FileIO(path, mode))
+
+        monkeypatch.setattr(nn_io, "open", counting_open, raising=False)
+        monkeypatch.setattr(sys.modules["otfs_sync.cli"], "open", counting_open, raising=False)
+        assert main(["info", "--weights", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "onestage" in out and "parameter scalars" in out
+        assert 0 < sum(sizes) <= header, (sum(sizes), header, data)
 
     def test_eval_two_stage(self, workdir, capsys):
         assert main([

@@ -17,6 +17,7 @@ from otfs_sync.nn import (
     param_count,
     save_model,
     save_tensors,
+    softmax_cross_entropy,
     split_metadata,
     two_stage_flops,
 )
@@ -239,6 +240,60 @@ class TestWeightsFile:
         assert peak <= 3.1 * size, (peak, size)
         del loaded
 
+    def test_load_peak_is_one_file_size(self, tmp_path):
+        # the table and meta.* scalars are read first, then each tensor goes
+        # straight from the file into the zero net built for it
+        import tracemalloc
+
+        path = tmp_path / "one.otfsnn"
+        save_model(str(path), build_sync_model(128, 32, "fine", seed=3))
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            loaded, _ = load_model(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * size + (1 << 20), (peak, size)
+        del loaded
+
+    def test_build_peak_is_one_copy_of_the_parameters(self):
+        # initial weights are drawn in float64 blocks written straight into
+        # the float32 parameters, not drawn whole and cast
+        import tracemalloc
+
+        params = 4 * param_count(256, 64, "fine")
+        tracemalloc.start()
+        try:
+            model = build_sync_model(256, 64, "fine", seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * params + (2 << 20), (peak, params)
+        del model
+
+    @pytest.mark.parametrize("block_bytes", [1 << 20, 8 * 1000])
+    def test_blocked_draws_are_bitwise_one_draw_per_layer(self, monkeypatch, block_bytes):
+        # reference: each conv and fc weight drawn whole as float64 from one
+        # generator in trunk order, scaled by sqrt(2 / fan_in) and cast; the
+        # 256x64 fc weight (256 x 32768) spans 64 blocks of 1 MiB, and blocks
+        # of 1000 draws end inside rows
+        from otfs_sync.nn import layers
+
+        monkeypatch.setattr(layers, "INIT_BLOCK_BYTES", block_bytes)
+        model = build_sync_model(256, 64, "fine", seed=5)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(5)))
+        for name, p in model.named_parameters():
+            if name.endswith("weight"):
+                w = rng.standard_normal(p.shape)
+                w *= np.sqrt(2.0 / np.prod(p.shape[1:]))
+                assert p.value.dtype == np.float32, name
+                assert np.array_equal(p.value, w.astype(np.float32)), name
+            elif name.endswith("gamma"):
+                assert np.all(p.value == 1), name
+            else:
+                assert np.all(p.value == 0), name
+
     def test_loaded_tensors_are_views_of_the_file_buffer(self, tmp_path):
         path = tmp_path / "views.otfsnn"
         save_tensors(str(path), {"a": np.arange(6, dtype=np.float32).reshape(2, 3),
@@ -360,6 +415,48 @@ class TestWeightsFile:
         big = build_sync_model(16, 4, "coarse")
         with pytest.raises(ValueError):
             big.load_state(small.state_dict())
+
+
+class TestTrainingBackward:
+    """Training asks ``SyncModel.backward`` for parameter gradients only."""
+
+    def test_parameter_gradients_do_not_depend_on_the_input_gradient(self, monkeypatch):
+        from otfs_sync.nn import layers
+
+        calls = []
+        for fn in ("_input_grad_shifted", "_input_grad_transposed"):
+            original = getattr(layers, fn)
+
+            def counting(w, gy, original=original):
+                calls.append(w.shape)
+                return original(w, gy)
+
+            monkeypatch.setattr(layers, fn, counting)
+        model = build_sync_model(32, 8, "coarse", seed=2)
+        model.train()
+        X = _rng(3).standard_normal((16, 2, 256)).astype(np.float32)
+        y = _rng(4).integers(0, 8, 16)
+
+        def step(input_grad):
+            calls.clear()
+            for p in model.parameters():
+                p.grad = np.zeros_like(p.value)
+            _, g = softmax_cross_entropy(model.forward(X), y)
+            gx = model.backward(g, input_grad=input_grad)
+            return gx, {n: p.grad.copy() for n, p in model.named_parameters()}, list(calls)
+
+        gx, want, with_input = step(True)
+        none, got, without_input = step(False)
+        assert gx.shape == X.shape and none is None
+        assert sorted(want) == sorted(got)
+        for name in want:
+            assert np.array_equal(want[name], got[name]), name
+        # rb1's conv7 (2 -> 4) and its shortcut conv1 are the convs that see
+        # the network's input
+        skipped = list(with_input)
+        for shape in without_input:
+            skipped.remove(shape)
+        assert sorted(skipped) == [(4, 2, 1), (4, 2, 7)]
 
 
 def _trained_looking_model(head, M, N, dtype, seed):

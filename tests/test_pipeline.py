@@ -171,6 +171,21 @@ class TestTraining:
             assert stats.samples == len(train)
             assert e["samples_per_s"] == round(len(train) / stats.train_seconds, 1)
 
+    def test_training_computes_no_input_gradient(self, monkeypatch):
+        from otfs_sync.nn.model import SyncModel
+
+        flags = []
+        original = SyncModel.backward
+
+        def recording(self, gy, *args, **kwargs):
+            flags.append(kwargs.get("input_grad", args[0] if args else True))
+            return original(self, gy, *args, **kwargs)
+
+        monkeypatch.setattr(SyncModel, "backward", recording)
+        train, test = self._split(_tiny_dataset(seed=10, samples=64))
+        train_coarse(train, test, TrainHyper(lr=1e-3, batch_size=32, epochs=1, seed=3))
+        assert flags and not any(flags)
+
     def test_training_is_deterministic(self):
         train, test = self._split(_tiny_dataset(seed=10, samples=64))
         hyper = TrainHyper(lr=1e-3, batch_size=32, epochs=2, seed=3)
