@@ -37,11 +37,17 @@ _METHOD_HEADS = {"resnet2stage": ("coarse", "fine"), "resnet1stage": ("onestage"
 
 
 def _check_args(args: argparse.Namespace) -> None:
-    """Reject out-of-range numeric options shared by several commands."""
-    for flag in ("batch", "epochs"):
+    """Reject out-of-range numeric options before any command runs."""
+    for flag in ("batch", "epochs", "repeats"):
         value = getattr(args, flag, 1)
         if value < 1:
             raise ConfigError(f"--{flag} must be >= 1, got {value}")
+    lr = getattr(args, "lr", 1.0)
+    if not (np.isfinite(lr) and lr > 0):
+        raise ConfigError(f"--lr must be finite and > 0, got {lr}")
+    wd = getattr(args, "wd", 0.0)
+    if not (np.isfinite(wd) and wd >= 0):
+        raise ConfigError(f"--wd must be finite and >= 0, got {wd}")
     fraction = getattr(args, "train_fraction", 0.5)
     if not 0.0 < fraction < 1.0:
         raise ConfigError(f"--train-fraction must lie strictly between 0 and 1, got {fraction}")
@@ -207,6 +213,8 @@ def _cmd_complexity(args: argparse.Namespace) -> int:
         pilot_row = cfg.pilot.m_p
     else:
         M, N, preamble_len, pilot_row = args.M, args.N, args.preamble_length, None
+        if M < 1 or N < 1:
+            raise ConfigError(f"--M and --N must be >= 1, got {M}x{N}")
     if not args.no_runtime:
         _preamble(preamble_len, 25)  # the one complexity_report times crosscorr with
         if M * N % 8:

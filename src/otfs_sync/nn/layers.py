@@ -15,7 +15,11 @@ its first child, so training skips the gradient of the network's input.
 backward, and the layers that normalize must be in eval mode (they raise
 ``ValueError`` otherwise).  A residual block then folds each eval-mode batch
 norm into the convolution before it, so its output differs from the cached
-eval-mode forward only by float rounding.
+eval-mode forward only by float rounding.  It folds once per weights state:
+its parameters and running statistics are views into one flat array, and the
+folded convs are reused until that array's bytes change.  Anything that
+updates a parameter (``Parameter.value``) or a running statistic therefore
+writes into the existing array in place and never rebinds it.
 
 Layers are dtype-generic: training runs in float32, and the same code paths
 run in float64 for finite-difference gradient verification.
@@ -439,12 +443,18 @@ class Sequential(Layer):
             layer.set_training(flag)
 
 
-def _folded_conv(conv: Conv1d, bn: BatchNorm1d, x: np.ndarray) -> np.ndarray:
-    """bn(conv(x)) in eval mode as one conv with the batch norm folded in."""
-    scale, shift = bn.eval_affine()
-    w = conv.weight.value * scale[:, None, None]
-    b = conv.bias.value * scale + shift
-    return conv.forward(x, False, w, b)
+def _pack(slots: list[tuple[object, str]], dtype) -> np.ndarray:
+    """Copy the array at each (owner, attribute) of ``slots`` into one flat
+    array of ``dtype`` and rebind the attribute to its view there."""
+    arrays = [getattr(owner, attr) for owner, attr in slots]
+    flat = np.empty(sum(a.size for a in arrays), dtype=dtype)
+    lo = 0
+    for (owner, attr), a in zip(slots, arrays):
+        view = flat[lo : lo + a.size].reshape(a.shape)
+        view[...] = a
+        setattr(owner, attr, view)
+        lo += a.size
+    return flat
 
 
 class ResBlock(Layer):
@@ -454,14 +464,23 @@ class ResBlock(Layer):
     in the first conv); H is the identity when channel counts match and a
     1x1 conv + BN projection otherwise.
 
+    Every parameter and batch-norm running statistic of the block is a view
+    into one flat array of the block's dtype, ``flat``, packed when the
+    block is built (a copy; seeded values are unchanged).  Whatever updates
+    them (the optimizer, training-mode statistics, loading, gradient checks)
+    must write into those arrays in place and never rebind them.
+
     ``forward(x, cache=False)`` is the eval-mode inference path (it raises
-    ``ValueError`` in training mode).  Each batch norm folds into the conv
-    before it, W' = s*W and b' = s*b + (beta - s*mu) with
-    s = gamma/sqrt(var + eps) from the running statistics (Ioffe & Szegedy
-    2015; see :meth:`BatchNorm1d.eval_affine`), and each conv runs as
-    ``Conv1d.forward(h, cache=False, weight=W', bias=b')``.  The ReLUs and
-    the residual add then work in place on the block's own temporaries; the
-    caller's ``x`` is never written.
+    ``ValueError`` in training mode, before anything else).  Each batch norm
+    folds into the conv before it, W' = s*W and b' = s*b + (beta - s*mu)
+    with s = gamma/sqrt(var + eps) from the running statistics (Ioffe &
+    Szegedy 2015; see :meth:`BatchNorm1d.eval_affine`), and each conv runs
+    as ``Conv1d.forward(h, cache=False, weight=W', bias=b')``.  The folded
+    weights are kept with the bytes of ``flat`` they were folded from and
+    reused while those bytes are unchanged, so a block folds once per
+    weights state, not once per call; any in-place write refolds on the
+    next call.  The ReLUs and the residual add then work in place on the
+    block's own temporaries; the caller's ``x`` is never written.
 
     The convs draw their initial weights from ``rng`` in construction order:
     conv7, conv5, conv3, then the shortcut conv1 (all zeros for ``rng=None``).
@@ -488,23 +507,49 @@ class ResBlock(Layer):
                 ("bn1", BatchNorm1d(out_channels, dtype=dtype)),
             ])
         self.relu_out = ReLU()
+        layers = [l for _, l in self.main.children]
+        if self.shortcut is not None:
+            layers += [l for _, l in self.shortcut.children]
+        bns = [l for l in layers if isinstance(l, BatchNorm1d)]
+        # (conv, the batch norm after it), in the order forward runs them
+        self._pairs = tuple(zip([l for l in layers if isinstance(l, Conv1d)], bns))
+        slots = [(p, "value") for _, p in self.named_parameters()]
+        slots += [(bn, name) for bn in bns for name in ("running_mean", "running_var")]
+        self.flat = _pack(slots, dtype)
+        # (bytes of flat, ((conv, W', b') per pair)) of the last fold
+        self._fold: tuple[bytes, tuple] | None = None
+
+    def _folded(self) -> tuple:
+        """(conv, W', b') for each conv, folded anew only when the bytes of
+        ``flat`` differ from those of the last fold."""
+        if any(bn.training for _, bn in self._pairs):
+            raise ValueError("batch norm in training mode has no fixed affine map")
+        key = self.flat.tobytes()
+        if self._fold is None or self._fold[0] != key:
+            folded = []
+            for conv, bn in self._pairs:
+                scale, shift = bn.eval_affine()
+                folded.append((conv, conv.weight.value * scale[:, None, None],
+                               conv.bias.value * scale + shift))
+            self._fold = (key, tuple(folded))
+        return self._fold[1]
 
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         if cache:
             f = self.main.forward(x)
             h = x if self.shortcut is None else self.shortcut.forward(x)
             return self.relu_out.forward(f + h)
-        conv7, bn7, _, conv5, bn5, _, conv3, bn3 = (l for _, l in self.main.children)
-        h = _folded_conv(conv7, bn7, x)
+        (c7, w7, b7), (c5, w5, b5), (c3, w3, b3), *shortcut = self._folded()
+        h = c7.forward(x, False, w7, b7)
         np.maximum(h, 0, out=h)
-        h = _folded_conv(conv5, bn5, h)
+        h = c5.forward(h, False, w5, b5)
         np.maximum(h, 0, out=h)
-        f = _folded_conv(conv3, bn3, h)
-        if self.shortcut is None:
-            f += x
+        f = c3.forward(h, False, w3, b3)
+        if shortcut:
+            (c1, w1, b1), = shortcut
+            f += c1.forward(x, False, w1, b1)
         else:
-            (_, conv1), (_, bn1) = self.shortcut.children
-            f += _folded_conv(conv1, bn1, x)
+            f += x
         np.maximum(f, 0, out=f)
         return f
 

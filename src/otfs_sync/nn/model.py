@@ -80,7 +80,9 @@ class SyncModel:
         Runs the cache-free inference forward (``cache=False``): no layer
         keeps anything for backward, and each batch norm is folded into the
         conv before it, so the scores differ from the eval-mode ``forward``
-        only by float rounding.
+        only by float rounding.  Each residual block keeps its folded convs
+        and folds again only when its parameters or running statistics have
+        changed since, so repeated calls on unchanged weights fold once.
 
         Each chunk of ``batch_size`` captures runs the trunk (every layer
         before ``fc``, flatten included) in tiles of :func:`trunk_tile`

@@ -382,6 +382,40 @@ class TestExitCodes:
             flag, "0",
         ]) == 2
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--lr", "nan"), ("--lr", "inf"), ("--lr", "-1"), ("--lr", "0"),
+        ("--wd", "nan"), ("--wd", "inf"), ("--wd", "-0.5"),
+    ])
+    def test_bad_train_rate_is_2(self, workdir, capsys, flag, value):
+        # before: each of these trained, wrote weights and exited 0
+        out = workdir["root"] / "bad_rate.otfsnn"
+        assert main([
+            "train", "--stage", "coarse", "--dataset", str(workdir["dataset"]),
+            "--out-weights", str(out), "--epochs", "1", flag, value,
+        ]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_weight_decay_trains(self, workdir):
+        out = workdir["root"] / "no_decay.otfsnn"
+        assert main([
+            "train", "--stage", "coarse", "--dataset", str(workdir["dataset"]),
+            "--out-weights", str(out), "--epochs", "1", "--wd", "0",
+        ]) == 0
+        assert out.exists()
+
+    @pytest.mark.parametrize("extra", [
+        ["--repeats", "0"],                          # nan runtimes, exit 0
+        ["--repeats", "-2", "--M", "8", "--N", "4"],
+        ["--M", "0", "--N", "8", "--no-runtime"],    # an all-zero table, exit 0
+        ["--M", "8", "--N", "0", "--no-runtime"],
+        ["--M", "-32", "--no-runtime"],              # negative dimensions: exit 4
+    ])
+    def test_bad_complexity_option_is_2(self, capsys, extra):
+        assert main(["complexity", *extra]) == 2
+        captured = capsys.readouterr()
+        assert "config error" in captured.err and captured.out == ""
+
     def test_bad_preamble_is_2(self, workdir):
         assert main([
             "eval", "--method", "crosscorr",

@@ -515,6 +515,155 @@ class TestInferenceForward:
         assert cached_arrays(model.net) == []
 
 
+def _blocks(model):
+    return [layer for name, layer in model.net.children if name.startswith("rb")]
+
+
+def _fresh_logits(model, X):
+    """Cache-free logits of a newly built model holding ``model``'s state,
+    so no fold of ``model`` can reach them."""
+    fresh = build_sync_model(model.M, model.N, model.head,
+                             dtype=model.net.children[-1][1].weight.value.dtype)
+    fresh.load_state(model.state_dict())
+    fresh.eval()
+    return fresh.net.forward(X, cache=False)
+
+
+class TestFoldCache:
+    """Each residual block folds its batch norms once per weights state: the
+    folded convs are reused while the block's flat parameter array keeps its
+    bytes, and any in-place write to a parameter or running statistic makes
+    the next inference fold again."""
+
+    def _count_folds(self, monkeypatch):
+        from otfs_sync.nn import layers
+
+        calls = []
+        original = layers.BatchNorm1d.eval_affine
+
+        def counting(bn):
+            calls.append(bn)
+            return original(bn)
+
+        monkeypatch.setattr(layers.BatchNorm1d, "eval_affine", counting)
+        return calls
+
+    def test_folds_once_per_weights_state(self, monkeypatch):
+        model = _trained_looking_model("coarse", 32, 8, np.float32, seed=31)
+        X = _rng(32).standard_normal((5, 2, 256)).astype(np.float32)
+        calls = self._count_folds(monkeypatch)
+        n_bns = sum(1 for name, _ in model.named_buffers() if name.endswith("running_var"))
+        first = model.predict_classes(X)
+        assert len(calls) == n_bns
+        for _ in range(3):
+            assert np.array_equal(model.predict_classes(X, batch_size=2), first)
+        assert len(calls) == n_bns
+        rb3 = _blocks(model)[2]
+        rb3.main.children[4][1].running_mean[0] += 0.5
+        model.predict_classes(X)
+        assert len(calls) == n_bns + 3  # rb3 alone refolds its three batch norms
+
+    def test_signed_zero_refolds_and_nan_reuses(self, monkeypatch):
+        model = _trained_looking_model("coarse", 32, 8, np.float32, seed=33)
+        X = _rng(34).standard_normal((2, 2, 256)).astype(np.float32)
+        rb1 = _blocks(model)[0]
+        bias = rb1.main.children[0][1].bias.value
+        bias[0] = 0.0
+        calls = self._count_folds(monkeypatch)
+        model.predict_classes(X)
+        folds = len(calls)
+        bias[0] = -0.0
+        model.predict_classes(X)
+        assert len(calls) == folds + 4
+        bias[0] = np.nan
+        model.predict_classes(X)
+        assert len(calls) == folds + 8
+        model.predict_classes(X)
+        assert len(calls) == folds + 8
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_update_reaches_the_prediction(self, dtype):
+        model = _trained_looking_model("fine", 32, 8, dtype, seed=35)
+        X = _rng(36).standard_normal((40, 2, 256)).astype(dtype)
+        model.eval()
+
+        def check(before):
+            got = model.net.forward(X, cache=False)
+            assert not np.array_equal(got, before)
+            assert np.array_equal(got, _fresh_logits(model, X))
+            want = model.forward(X)
+            assert np.max(np.abs(got - want)) <= 1e-5 * float(np.max(np.abs(want)))
+            assert np.array_equal(model.predict_classes(X), np.argmax(got, axis=1))
+            return got
+
+        logits = model.net.forward(X, cache=False)
+        assert np.array_equal(logits, _fresh_logits(model, X))
+
+        from otfs_sync.nn import AdamW
+
+        opt = AdamW(model.parameters(), lr=1e-2)
+        scores = model.forward(X)
+        _, g = softmax_cross_entropy(scores, np.arange(40) % model.classes)
+        model.backward(g, input_grad=False)
+        opt.step()
+        logits = check(logits)
+
+        other = _trained_looking_model("fine", 32, 8, dtype, seed=37)
+        model.load_state(other.state_dict())
+        logits = check(logits)
+
+        dict(model.named_buffers())["rb2.main.bn5.running_var"][3] *= 4.0
+        check(logits)
+
+    def _assert_packed(self, model):
+        for i, block in enumerate(_blocks(model)):
+            arrays = [p.value for _, p in block.named_parameters()]
+            arrays += [b for _, b in block.named_buffers()]
+            assert sum(a.size for a in arrays) == block.flat.size, i
+            for a in arrays:
+                assert np.shares_memory(a, block.flat), i
+                assert a.dtype == block.flat.dtype, i
+
+    def test_parameters_and_buffers_are_views_of_one_flat_array(self, tmp_path):
+        model = build_sync_model(32, 8, "coarse", seed=38)
+        self._assert_packed(model)
+        path = tmp_path / "m.otfsnn"
+        save_model(str(path), model)
+        loaded, _ = load_model(str(path))
+        self._assert_packed(loaded)
+        for k, v in model.state_dict().items():
+            assert np.array_equal(loaded.state_dict()[k], v), k
+
+        from otfs_sync.nn import AdamW
+
+        opt = AdamW(loaded.parameters(), lr=1e-3)
+        loaded.train()
+        flats = [block.flat.copy() for block in _blocks(loaded)]
+        X = _rng(39).standard_normal((8, 2, 256)).astype(np.float32)
+        _, g = softmax_cross_entropy(loaded.forward(X), np.arange(8) % loaded.classes)
+        loaded.backward(g, input_grad=False)
+        opt.step()
+        self._assert_packed(loaded)
+        for block, before in zip(_blocks(loaded), flats):
+            assert not np.array_equal(block.flat, before)
+
+    def test_a_cached_fold_does_not_skip_the_training_check(self):
+        model = _trained_looking_model("coarse", 32, 8, np.float32, seed=40)
+        X = _rng(41).standard_normal((3, 2, 256)).astype(np.float32)
+        model.predict_classes(X)
+        model.train()
+        state = {k: v.copy() for k, v in model.state_dict().items()}
+        with pytest.raises(ValueError):
+            model.net.forward(X, cache=False)
+        model.eval()
+        rb2 = _blocks(model)[1]
+        rb2.shortcut.children[1][1].set_training(True)
+        with pytest.raises(ValueError):
+            rb2.forward(np.zeros((1, 4, 128), dtype=np.float32), cache=False)
+        for k, v in model.state_dict().items():
+            assert np.array_equal(v, state[k]), k
+
+
 def _predict_with_logits(monkeypatch, model, X, batch_size):
     """predict_classes(X, batch_size) plus the logits its fc calls returned."""
     from otfs_sync.nn import layers
