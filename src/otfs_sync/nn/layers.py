@@ -507,14 +507,15 @@ class ResBlock(Layer):
                 ("bn1", BatchNorm1d(out_channels, dtype=dtype)),
             ])
         self.relu_out = ReLU()
-        layers = [l for _, l in self.main.children]
-        if self.shortcut is not None:
-            layers += [l for _, l in self.shortcut.children]
-        bns = [l for l in layers if isinstance(l, BatchNorm1d)]
+        conv7, bn7, _, conv5, bn5, _, conv3, bn3 = (l for _, l in self.main.children)
         # (conv, the batch norm after it), in the order forward runs them
-        self._pairs = tuple(zip([l for l in layers if isinstance(l, Conv1d)], bns))
+        pairs = [(conv7, bn7), (conv5, bn5), (conv3, bn3)]
+        if self.shortcut is not None:
+            (_, conv1), (_, bn1) = self.shortcut.children
+            pairs.append((conv1, bn1))
+        self._pairs = tuple(pairs)
         slots = [(p, "value") for _, p in self.named_parameters()]
-        slots += [(bn, name) for bn in bns for name in ("running_mean", "running_var")]
+        slots += [(bn, name) for _, bn in pairs for name in ("running_mean", "running_var")]
         self.flat = _pack(slots, dtype)
         # (bytes of flat, ((conv, W', b') per pair)) of the last fold
         self._fold: tuple[bytes, tuple] | None = None
