@@ -16,7 +16,7 @@ and the analytic cost table.  Everything lands in --outdir:
     complexity.csv              FLOPs / params / runtime per method
 
 The defaults reproduce the shipped acceptance numbers (~0.999 two-stage
-accuracy, RMSE ~1 sample) in about four minutes on one laptop core.
+accuracy, RMSE ~1 sample) in about three minutes (181 s on a 2-vCPU Xeon host).
 """
 
 from __future__ import annotations

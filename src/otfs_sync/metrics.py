@@ -278,18 +278,19 @@ def complexity_report(
     if pilot_row is None:
         pilot_row = M // 2
     # parameter totals come from the architecture table so that nothing is
-    # allocated unless a runtime measurement actually needs a live model
+    # allocated unless a runtime measurement needs it: the live models, and
+    # the timing window that only the runs below read
     live = {}
     if measure_runtime:
         for head in HEADS:
             live[head] = getattr(models, head, None)
             if live[head] is None and param_count(M, N, head) <= MAX_TIMED_PARAMS:
                 live[head] = build_sync_model(M, N, head)
+        rng = np.random.Generator(np.random.PCG64(12345))
+        win_planes = rng.standard_normal((1, 2, MN)).astype(np.float32)
+        win_complex = planes_to_complex(win_planes[0])
+        preamble = zadoff_chu(preamble_len, 25)
     coarse, fine, onestage = (live.get(head) for head in HEADS)
-    rng = np.random.Generator(np.random.PCG64(12345))
-    win_planes = rng.standard_normal((1, 2, MN)).astype(np.float32)
-    win_complex = planes_to_complex(win_planes[0])
-    preamble = zadoff_chu(preamble_len, 25) if measure_runtime else None
 
     costs = (
         ("resnet2stage", two_stage_flops(M, N),

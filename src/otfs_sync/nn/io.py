@@ -6,12 +6,12 @@ parameters, batch-norm running statistics and scalar metadata (``meta.*``
 entries, e.g. the optimizer hyper-parameters and the head geometry) all
 travel in the same table.
 
-One parser, :func:`read_table`, reads the table of an open file: each
-tensor's name, dims and data offset, seeking past the data.  The readers
-build on it: :func:`load_tensors` reads the whole file once and hands out
-views of it, :func:`read_metadata` reads only the ``meta.*`` scalars, and
-:func:`read_into` reads one tensor straight into an array the caller owns
-(``nn.model.load_model`` fills a freshly built net this way).
+:func:`save_tensors` writes a file.  One parser, :func:`read_table`, reads
+the table of an open file: each tensor's name, dims and data offset,
+seeking past the data.  Two readers build on it: :func:`read_metadata`
+reads only the ``meta.*`` scalars, and :func:`read_into` reads one tensor
+straight into an array the caller owns (``nn.model.load_model`` fills a
+freshly built net this way).
 """
 
 from __future__ import annotations
@@ -129,35 +129,3 @@ def read_into(fh: BinaryIO, path: str, entry: TensorEntry, dst: np.ndarray) -> N
         raise WeightsFormatError(f"{path}: tensor data runs past end of file")
     if sys.byteorder == "big":
         dst.byteswap(inplace=True)
-
-
-def load_tensors(path: str) -> dict[str, np.ndarray]:
-    """Read every tensor of a weights file.
-
-    The table is parsed first (:func:`read_table`); the file is then read
-    once into a buffer of its size, and the tensors are float32 views of
-    that buffer (not necessarily aligned), so loading holds one copy of the
-    file's bytes; the buffer lives as long as any view."""
-    with open(path, "rb") as fh:
-        table = read_table(fh, path)
-        fh.seek(0)
-        buf = bytearray(os.fstat(fh.fileno()).st_size)
-        fh.readinto(buf)
-    return {
-        name: np.frombuffer(buf, dtype="<f4", count=e.count, offset=e.offset).reshape(e.shape)
-        for name, e in table.items()
-    }
-
-
-def split_metadata(
-    tensors: dict[str, np.ndarray]
-) -> tuple[dict[str, np.ndarray], dict[str, float]]:
-    """Separate ``meta.*`` scalar entries from real tensors."""
-    state: dict[str, np.ndarray] = {}
-    meta: dict[str, float] = {}
-    for name, value in tensors.items():
-        if name.startswith("meta."):
-            meta[name[len("meta."):]] = float(value.reshape(-1)[0])
-        else:
-            state[name] = value
-    return state, meta

@@ -55,12 +55,3 @@ class AdamW:
             m_hat = m / bias1
             v_hat = v / bias2
             p.value -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.value.dtype)
-
-    def hyperparams(self) -> dict[str, float]:
-        return {
-            "lr": self.lr,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-            "weight_decay": self.weight_decay,
-        }

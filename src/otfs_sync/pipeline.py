@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset
-from .estimate import SyncEstimate, combine_offset
+from .estimate import SyncEstimate
 from .nn.loss import softmax_cross_entropy
-from .nn.model import HEAD_CODES, SyncModel, build_sync_model, save_model
+from .nn.model import SyncModel, build_sync_model, save_model
 from .nn.optim import AdamW
 
 
@@ -95,7 +95,7 @@ class TrainReport:
 
     def to_json_lines(self) -> str:
         lines = [json.dumps({"event": "train_start", "head": self.head,
-                             **{k: v for k, v in self.hyper.as_metadata().items()}})]
+                             **self.hyper.as_metadata()})]
         for e in self.epochs:
             lines.append(json.dumps({
                 "event": "epoch",
@@ -119,7 +119,6 @@ class TrainReport:
 class TrainResult:
     model: SyncModel          # carries the final-epoch weights
     best_state: dict[str, np.ndarray]
-    final_state: dict[str, np.ndarray]
     report: TrainReport
 
     def restore_best(self) -> SyncModel:
@@ -210,10 +209,8 @@ def _train_classifier(
             report.best_accuracy = acc
             report.best_epoch = epoch
             best_state = {k: v.copy() for k, v in model.state_dict().items()}
-    final_state = {k: v.copy() for k, v in model.state_dict().items()}
     assert best_state is not None
-    return TrainResult(model=model, best_state=best_state,
-                       final_state=final_state, report=report)
+    return TrainResult(model=model, best_state=best_state, report=report)
 
 
 def train_coarse(train: Dataset, test: Dataset, hyper: TrainHyper, log=None) -> TrainResult:
@@ -289,27 +286,13 @@ def infer_one_stage(windows: np.ndarray, model: SyncModel, batch_size: int = 256
     return model.predict_classes(windows, batch_size)
 
 
-def model_metadata(model: SyncModel, hyper: TrainHyper | None = None,
-                   optimizer: AdamW | None = None) -> dict[str, float]:
-    meta: dict[str, float] = {
-        "format": 1.0,
-        "M": float(model.M),
-        "N": float(model.N),
-        "head_code": float(HEAD_CODES[model.head]),
-    }
-    if hyper is not None:
-        meta.update(hyper.as_metadata())
-    if optimizer is not None:
-        meta.update({f"adamw_{k}": v for k, v in optimizer.hyperparams().items()})
-    return meta
-
-
 def save_training_result(result: TrainResult, hyper: TrainHyper, path: str) -> SyncModel:
     """Save the final-epoch weights to ``<path>.final``, then restore the best
     weights into ``result.model`` and save them to ``path``.  Both files carry
-    :func:`model_metadata` plus ``best_epoch``.  Returns the best model."""
-    meta = model_metadata(result.model, hyper)
-    meta["best_epoch"] = float(result.report.best_epoch)
+    ``format``, the hyper-parameters and ``best_epoch`` on top of the geometry
+    :func:`~otfs_sync.nn.model.save_model` writes.  Returns the best model."""
+    meta = {"format": 1.0, **hyper.as_metadata(),
+            "best_epoch": float(result.report.best_epoch)}
     save_model(path + ".final", result.model, meta)
     best = result.restore_best()
     save_model(path, best, meta)

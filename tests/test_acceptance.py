@@ -20,9 +20,10 @@ The checks, in order:
 
 Criteria 6, 7, 9 and 10 share module-scoped fixtures (a 5000-capture toy
 dataset and the trained coarse/fine/one-stage models), so the file is meant
-to run as a whole; total runtime is dominated by the four toy training runs
-(about six minutes on one laptop core).  Those four tests carry the ``slow``
-marker, so ``pytest -m "not slow"`` runs everything else in seconds.
+to run as a whole; total runtime is dominated by the toy trainings (two
+two-stage runs and one one-stage run): the file took 253-287 s on a 2-vCPU
+Xeon host.  Those four tests carry the ``slow`` marker, so
+``pytest -m "not slow"`` runs everything else in seconds.
 """
 
 from __future__ import annotations
@@ -70,15 +71,13 @@ from otfs_sync.nn.model import (
     count_params,
     flops_report,
     param_count,
-    save_model,
     two_stage_flops,
 )
 from otfs_sync.pipeline import (
     TrainHyper,
-    TrainResult,
     infer_one_stage,
     infer_two_stage,
-    model_metadata,
+    save_training_result,
     train_coarse,
     train_fine,
     train_one_stage,
@@ -121,12 +120,6 @@ def toy_splits() -> tuple[Dataset, Dataset]:
     return train, test
 
 
-def _weight_bytes(result: TrainResult, hyper: TrainHyper, tmp: Path, tag: str) -> bytes:
-    path = tmp / f"{tag}.weights"
-    save_model(str(path), result.model, model_metadata(result.model, hyper))
-    return path.read_bytes()
-
-
 @dataclass
 class TwoStageRun:
     coarse: object
@@ -141,17 +134,18 @@ class TwoStageRun:
 def _run_two_stage(train: Dataset, test: Dataset, tmp: Path, tag: str) -> TwoStageRun:
     """The full two-stage protocol: train the coarse stage, keep its best
     epoch, train the fine stage against the frozen best coarse, keep its best
-    epoch, then score the combined estimator on the test split.  Weight files
-    are snapshotted at both final and best states for the determinism check."""
+    epoch, then score the combined estimator on the test split.  Each stage
+    is saved as ``otfs-sync train`` saves it (:func:`save_training_result`:
+    final weights, then best), and the bytes of both files are kept for the
+    determinism check."""
     t0 = time.perf_counter()
     rc = train_coarse(train, test, COARSE_HYPER)
-    blobs = {"coarse.final": _weight_bytes(rc, COARSE_HYPER, tmp, f"{tag}-coarse-final")}
-    coarse = rc.restore_best()
-    blobs["coarse.best"] = _weight_bytes(rc, COARSE_HYPER, tmp, f"{tag}-coarse-best")
+    coarse = save_training_result(rc, COARSE_HYPER, str(tmp / f"{tag}-coarse.weights"))
     rf = train_fine(coarse, train, test, FINE_HYPER)
-    blobs["fine.final"] = _weight_bytes(rf, FINE_HYPER, tmp, f"{tag}-fine-final")
-    fine = rf.restore_best()
-    blobs["fine.best"] = _weight_bytes(rf, FINE_HYPER, tmp, f"{tag}-fine-best")
+    fine = save_training_result(rf, FINE_HYPER, str(tmp / f"{tag}-fine.weights"))
+    blobs = {f"{stage}.{kind}": (tmp / f"{tag}-{stage}.weights{suffix}").read_bytes()
+             for stage in ("coarse", "fine")
+             for kind, suffix in (("final", ".final"), ("best", ""))}
     theta_hat = infer_two_stage(test.windows, coarse, fine, 256)
     seconds = time.perf_counter() - t0
     MN = test.M * test.N

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from otfs_sync.cli import main
-from otfs_sync.nn import load_tensors
 
 TINY_CONFIG = {
     "frame": {"M": 8, "N": 4, "L_CP": 4},
@@ -92,8 +91,9 @@ class TestHappyPath:
         from otfs_sync.nn import io as nn_io
 
         path = workdir["onestage"]
-        tensors = load_tensors(str(path))
-        data = 4 * sum(v.size for k, v in tensors.items() if not k.startswith("meta."))
+        with open(path, "rb") as fh:
+            table = nn_io.read_table(fh, str(path))
+        data = 4 * sum(e.count for k, e in table.items() if not k.startswith("meta."))
         header = path.stat().st_size - data
         sizes = []
 

@@ -334,6 +334,17 @@ class TestComplexity:
         assert by_method["resnet2stage"].runtime_s is not None
         assert "resnet1stage,1156595712,536894272,\n" in complexity_csv(rows)
 
+    def test_analytic_only_report_allocates_no_window(self):
+        # a 2048x2048 timing window and its complex copy would take 96 MiB
+        tracemalloc.start()
+        try:
+            rows = complexity_report(2048, 2048, measure_runtime=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r.runtime_s is None for r in rows)
+        assert peak < 1 << 20, peak
+
     def test_passed_head_is_timed_whatever_its_size(self, monkeypatch):
         monkeypatch.setattr(metrics, "MAX_TIMED_PARAMS", 0)
         models = SweepModels(onestage=build_sync_model(8, 4, "onestage"))

@@ -568,12 +568,6 @@ class TestAdamW:
         assert abs(history[-1] - 3.0) < 0.2
         assert history[0] < history[50] < history[199] + 0.3
 
-    def test_hyperparams_reported(self):
-        opt = AdamW([Parameter(np.zeros(1))], lr=1e-4, weight_decay=0.01)
-        h = opt.hyperparams()
-        assert h["lr"] == 1e-4 and h["weight_decay"] == 0.01
-        assert h["beta1"] == 0.9 and h["beta2"] == 0.999 and h["eps"] == 1e-8
-
 
 def _eval_layers(dtype, seed):
     """Every layer kind in eval mode with an input that suits it."""

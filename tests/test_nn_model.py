@@ -13,19 +13,35 @@ from otfs_sync.nn import (
     flops_report,
     head_classes,
     load_model,
-    load_tensors,
     param_count,
     save_model,
     save_tensors,
     softmax_cross_entropy,
-    split_metadata,
     two_stage_flops,
 )
+from otfs_sync.nn.io import read_into, read_table
 from otfs_sync.nn.model import HEAD_CODES, TRUNK, trunk_tile
 
 
 def _rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def _read_tensors(path):
+    """Every tensor of a weights file, by name, read through its table."""
+    with open(path, "rb") as fh:
+        table = read_table(fh, str(path))
+        out = {name: np.empty(e.shape, np.float32) for name, e in table.items()}
+        for name, e in table.items():
+            read_into(fh, str(path), e, out[name])
+    return out
+
+
+def test_every_exported_name_resolves():
+    import otfs_sync.nn
+
+    for name in otfs_sync.nn.__all__:
+        getattr(otfs_sync.nn, name)
 
 
 class TestArchitecture:
@@ -294,21 +310,17 @@ class TestWeightsFile:
             else:
                 assert np.all(p.value == 0), name
 
-    def test_loaded_tensors_are_views_of_the_file_buffer(self, tmp_path):
-        path = tmp_path / "views.otfsnn"
-        save_tensors(str(path), {"a": np.arange(6, dtype=np.float32).reshape(2, 3),
-                                 "b": np.float32(2.5), "c": np.ones(5, dtype=np.float32)})
-        out = load_tensors(str(path))
-        assert all(not v.flags.owndata for v in out.values())
-        assert out["a"].tolist() == [[0, 1, 2], [3, 4, 5]] and out["b"].shape == ()
-
     def test_save_writes_non_contiguous_and_float64_tensors(self, tmp_path):
         a = np.arange(12, dtype=np.float64).reshape(3, 4)
         path = tmp_path / "t.otfsnn"
         save_tensors(str(path), {"t": a.T, "s": np.float64(1.5)})
-        out = load_tensors(str(path))
-        assert out["t"].dtype == np.dtype("<f4") and np.array_equal(out["t"], a.T)
-        assert out["s"].shape == () and out["s"] == 1.5
+        with open(path, "rb") as fh:
+            table = read_table(fh, str(path))
+        raw = path.read_bytes()
+        t, s = table["t"], table["s"]
+        assert t.shape == (4, 3)
+        assert raw[t.offset:t.offset + 48] == a.T.astype("<f4").tobytes()
+        assert s.shape == () and raw[s.offset:s.offset + 4] == np.array(1.5, "<f4").tobytes()
 
     def test_truncation_and_trailing_messages(self, tmp_path):
         path = tmp_path / "m.otfsnn"
@@ -316,16 +328,16 @@ class TestWeightsFile:
         raw = path.read_bytes()
         path.write_bytes(raw[:-5])
         with pytest.raises(WeightsFormatError, match="truncated tensor table"):
-            load_tensors(str(path))
+            _read_tensors(path)
         path.write_bytes(raw + b"\x00\x01")
         with pytest.raises(WeightsFormatError, match="2 trailing bytes after the tensor table"):
-            load_tensors(str(path))
+            _read_tensors(path)
         path.write_bytes(b"NOPE" + raw[4:])
         with pytest.raises(WeightsFormatError, match=r"bad magic b'NOPENN01'"):
-            load_tensors(str(path))
+            _read_tensors(path)
         path.write_bytes(raw[:10])
         with pytest.raises(WeightsFormatError, match="shorter than the weights header"):
-            load_tensors(str(path))
+            _read_tensors(path)
 
     def test_predictions_survive_round_trip(self, tmp_path):
         model = build_sync_model(16, 8, "fine", seed=6)
@@ -357,36 +369,10 @@ class TestWeightsFile:
         }
         path = tmp_path / "r.otfsnn"
         save_tensors(str(path), tensors)
-        out = load_tensors(str(path))
+        out = _read_tensors(path)
         assert sorted(out) == sorted(tensors)
         for k in tensors:
             assert np.array_equal(np.asarray(tensors[k]), out[k])
-
-    def test_split_metadata(self):
-        tensors = {"w": np.zeros(2, dtype=np.float32), "meta.M": np.float32(32.0)}
-        state, meta = split_metadata(tensors)
-        assert list(state) == ["w"] and meta == {"M": 32.0}
-
-    def test_rejects_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.otfsnn"
-        path.write_bytes(b"WRONG!!!" + b"\x00" * 16)
-        with pytest.raises(WeightsFormatError):
-            load_tensors(str(path))
-
-    def test_rejects_truncation(self, tmp_path):
-        path = tmp_path / "trunc.otfsnn"
-        save_tensors(str(path), {"w": np.ones(8, dtype=np.float32)})
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-5])
-        with pytest.raises(WeightsFormatError):
-            load_tensors(str(path))
-
-    def test_rejects_trailing_garbage(self, tmp_path):
-        path = tmp_path / "trail.otfsnn"
-        save_tensors(str(path), {"w": np.ones(2, dtype=np.float32)})
-        path.write_bytes(path.read_bytes() + b"\x00\x01")
-        with pytest.raises(WeightsFormatError):
-            load_tensors(str(path))
 
     def test_load_model_requires_grid_metadata(self, tmp_path):
         path = tmp_path / "nometa.otfsnn"

@@ -18,7 +18,7 @@ from otfs_sync.pipeline import (
     compensate_batch,
     infer,
     infer_two_stage,
-    model_metadata,
+    save_training_result,
     train_coarse,
     train_fine,
     train_one_stage,
@@ -191,8 +191,9 @@ class TestTraining:
         hyper = TrainHyper(lr=1e-3, batch_size=32, epochs=2, seed=3)
         r1 = train_coarse(train, test, hyper)
         r2 = train_coarse(train, test, hyper)
-        for k in r1.final_state:
-            assert np.array_equal(r1.final_state[k], r2.final_state[k]), k
+        s1, s2 = r1.model.state_dict(), r2.model.state_dict()
+        for k in s1:
+            assert np.array_equal(s1[k], s2[k]), k
         assert r1.report.to_json_lines().count("train_loss") == 2
 
     def test_best_state_tracks_peak_accuracy(self):
@@ -223,13 +224,35 @@ class TestTraining:
         assert result.model.classes == train.M * train.N
         assert result.report.head == "onestage"
 
-    def test_metadata_includes_hypers(self):
+    def test_saved_files_carry_the_metadata_contract(self, tmp_path):
+        # every meta.* key of both files, each the float32 of its source;
+        # <path>.final holds the weights training ended with, <path> the best
+        from otfs_sync.nn.io import read_metadata, read_into, read_table
+        from otfs_sync.nn.model import HEAD_CODES
+
         train, test = self._split(_tiny_dataset(seed=14, samples=64))
-        hyper = TrainHyper(lr=1e-3, batch_size=32, epochs=1, seed=0)
+        hyper = TrainHyper(lr=1e-3, batch_size=32, epochs=1, seed=5)
         result = train_coarse(train, test, hyper)
-        meta = model_metadata(result.model, hyper)
-        assert meta["M"] == 8.0 and meta["N"] == 4.0
-        assert meta["lr"] == 1e-3 and meta["batch_size"] == 32.0
+        final = {k: v.copy() for k, v in result.model.state_dict().items()}
+        # with one epoch the best state is the final one; shift it so the two
+        # files can be told apart
+        result.best_state = {k: v + 1 for k, v in result.best_state.items()}
+        best = {k: v.copy() for k, v in result.best_state.items()}
+        path = tmp_path / "coarse.weights"
+        save_training_result(result, hyper, str(path))
+        sources = {"format": 1.0, "M": 8, "N": 4, "head_code": HEAD_CODES["coarse"],
+                   "lr": 1e-3, "batch_size": 32, "epochs": 1, "weight_decay": 0.01,
+                   "seed": 5, "best_epoch": 0}
+        for name, state in ((f"{path}.final", final), (str(path), best)):
+            with open(name, "rb") as fh:
+                table = read_table(fh, name)
+                assert read_metadata(fh, name, table) == {
+                    k: float(np.float32(v)) for k, v in sources.items()}
+                assert sorted(k for k in table if not k.startswith("meta.")) == sorted(state)
+                for k, want in state.items():
+                    got = np.empty(table[k].shape, np.float32)
+                    read_into(fh, name, table[k], got)
+                    assert np.array_equal(got, want), (name, k)
 
 
 class _FakeLibc:
