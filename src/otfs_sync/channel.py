@@ -23,6 +23,7 @@ variance is set from it.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -120,18 +121,13 @@ def realize_channel(
     paths may share a tap.  Path gain i is sigma_i*(g_re + 1j*g_im)/sqrt(2)
     with g ~ N(0,1), where sigma_i^2 is the linear per-path power from
     gains_db; no overall renormalization is applied.  The AWGN profile is the
-    degenerate identity channel: one unit tap, no Doppler, no randomness.
+    degenerate identity channel: one unit tap, no Doppler, no randomness, so
+    its realization is built once per sample rate and shared (read-only).
     """
     if sample_rate_hz <= 0:
         raise ValueError("sample_rate_hz must be positive")
     if profile.kind is ChannelKind.AWGN:
-        return ChannelRealization(
-            taps=np.zeros(1, dtype=np.int64),
-            gains=np.ones(1, dtype=np.complex128),
-            doppler_hz=np.zeros(1),
-            phases=np.zeros(1),
-            sample_rate_hz=sample_rate_hz,
-        )
+        return _identity_channel(sample_rate_hz)
     # delay_ns * fs is exact for integer-ish inputs; divide by 1e9 last
     taps = np.array(
         [_round_half_up(d * sample_rate_hz / 1e9) for d in profile.delays_ns],
@@ -150,6 +146,15 @@ def realize_channel(
         phases=phases,
         sample_rate_hz=sample_rate_hz,
     )
+
+
+@functools.lru_cache(maxsize=8)
+def _identity_channel(sample_rate_hz: float) -> ChannelRealization:
+    arrays = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.complex128),
+              np.zeros(1), np.zeros(1))
+    for a in arrays:
+        a.flags.writeable = False
+    return ChannelRealization(*arrays, sample_rate_hz=sample_rate_hz)
 
 
 def doppler_rotation(w: float, phi: float, k0: int, n: int) -> np.ndarray:
@@ -199,21 +204,35 @@ def apply_fading(x: np.ndarray, ch: ChannelRealization, start: int = 0) -> np.nd
     return y
 
 
-def apply_awgn(x: np.ndarray, snr_db: float, rng: np.random.Generator) -> np.ndarray:
+def apply_awgn(x: np.ndarray, snr_db: float, rng: np.random.Generator,
+               out: np.ndarray | None = None) -> np.ndarray:
     """Add circular complex Gaussian noise at the given SNR.
 
     Noise variance is P_sig * 10**(-snr_db/10) with P_sig the mean power of
-    the input.  ``snr_db=inf`` is the explicit no-noise path; an all-zero
-    input has no defined SNR and is rejected, and so are NaN and -inf.
+    the input.  ``snr_db=inf`` is the explicit no-noise path; an all-zero or
+    empty input has no defined SNR and is rejected, and so are NaN and -inf.
+
+    The real parts of the noise are drawn first, then the imaginary parts,
+    and each output part is x's part plus sqrt(var/2) times its draw.  The
+    result is a new complex array, or, with ``out`` (shape ``(2, *x.shape)``,
+    any real dtype), its real and imaginary planes rounded once into
+    ``out[0]`` and ``out[1]``, and ``out`` is returned.
     """
     x = np.asarray(x)
     if math.isnan(snr_db) or snr_db == -math.inf:
         raise ValueError(f"snr_db must be a number or +inf, got {snr_db}")
-    if math.isinf(snr_db) and snr_db > 0:
-        return x.astype(np.complex128, copy=True)
-    p_sig = float(np.mean(np.abs(x) ** 2))
+    y = np.empty(x.shape, dtype=np.complex128) if out is None else out
+    re, im = (y.real, y.imag) if out is None else out
+    if math.isinf(snr_db):
+        re[...], im[...] = x.real, x.imag
+        return y
+    p_sig = float((np.abs(x) ** 2).sum()) / max(x.size, 1)  # bitwise np.mean
     if p_sig == 0.0:
         raise ValueError("cannot set an SNR on an all-zero signal")
-    var = p_sig * 10.0 ** (-snr_db / 10.0)
-    noise = rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size)
-    return x + np.sqrt(var / 2.0) * noise.reshape(x.shape)
+    # one draw of both planes is the real-part draw followed by the imaginary
+    noise = rng.standard_normal((2, *x.shape))
+    noise *= math.sqrt(p_sig * 10.0 ** (-snr_db / 10.0) / 2.0)
+    noise[0] += x.real
+    noise[1] += x.imag
+    re[...], im[...] = noise  # float64 sums, rounded once to the dtype of out
+    return y

@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -83,11 +86,16 @@ def _load_checked(path: str, heads: tuple[str, ...], grid: tuple[int, int],
 def _cmd_gen(args: argparse.Namespace) -> int:
     cfg = load_dataset_config(args.config)
     if args.seed is not None:
-        from dataclasses import replace
-
-        cfg = replace(cfg, global_seed=args.seed)
+        try:
+            cfg = replace(cfg, global_seed=args.seed)
+        except ValueError as exc:
+            raise ConfigError(f"--seed: {exc}") from exc
+    t0 = time.perf_counter()
     n = write_dataset(cfg, args.out)
+    seconds = time.perf_counter() - t0
     print(f"wrote {n} records to {args.out}")
+    print(json.dumps({"event": "gen_end", "records": n, "bytes": os.path.getsize(args.out),
+                      "seconds": round(seconds, 6), "captures_per_s": round(n / seconds, 1)}))
     return 0
 
 

@@ -17,6 +17,16 @@ added to the window alone, at an SNR measured on the faded window.  All
 three grids are drawn in stream order, but a filler is transformed to
 serial samples only when that faded span reaches it.
 
+What every capture of a configuration shares is computed once, on the first
+capture, and cached: the stream layout (where the preamble, each CP and
+payload copy and the append filler start), the Zadoff-Chu preamble, the
+constellation, the validated guard rows and pilot cell, and the AWGN
+channel's realization.  Per record there remain the draws (labels, one
+``(3, M, N)`` symbol stack, the channel, the noise) and the arithmetic on the
+samples the window needs: one DD -> DT transform of the grids the faded span
+reaches, the copy of that span of the stream into one buffer, its fading
+and the noise.  The bytes are those of format version 3.
+
 Every record is generated from its own RNG stream keyed by
 (global_seed, channel_id, record_index), which makes datasets reproducible
 byte-for-byte and records independent of generation order.
@@ -50,6 +60,7 @@ keeps its file's version in ``format_version``.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -129,6 +140,8 @@ class DatasetConfig:
             raise ValueError("blocks_per_frame must be >= 1")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must lie strictly between 0 and 1")
+        if not 0 <= self.global_seed < 2**64:
+            raise ValueError(f"global_seed must lie in [0, 2**64), got {self.global_seed}")
 
     @property
     def record_count(self) -> int:
@@ -191,6 +204,31 @@ class CaptureRecord:
     theta_d: int
 
 
+_PREAMBLE = 3  # source index of the preamble; 0, 1, 2 are the serialized grids
+
+
+@functools.lru_cache(maxsize=8)
+def _stream_layout(cfg: DatasetConfig) -> tuple:
+    """What every capture of ``cfg`` shares: (pilots, preamble, pieces,
+    body_end, payload_start).  ``pilots`` holds the pilot of each stream
+    grid (prepend filler, payload, append filler); ``pieces`` lays out the
+    stream as (start index, source index, slice of that source); the append
+    filler starts at ``body_end`` and the first payload sample (theta = 0)
+    at ``payload_start``."""
+    frame = cfg.frame
+    MN, L = frame.grid_size, frame.L_CP
+    pre = zadoff_chu(cfg.preamble.length, cfg.preamble.root) if cfg.preamble else np.zeros(0)
+    pre.flags.writeable = False
+    whole = slice(None)
+    pieces = [(0, 0, whole), (MN, _PREAMBLE, whole)]
+    at = MN + pre.size
+    for _ in range(cfg.blocks_per_frame):
+        pieces += [(at, 1, slice(MN - L, MN)), (at + L, 1, whole)]
+        at += MN + L
+    pieces.append((at, 2, whole))
+    return (None, cfg.pilot, None), pre, tuple(pieces), at, MN + pre.size + L
+
+
 def synthesize_capture(
     cfg: DatasetConfig,
     profile: ChannelProfile,
@@ -205,36 +243,31 @@ def synthesize_capture(
     MN = frame.grid_size
     if not -MN // 2 <= theta_raw < MN // 2:
         raise ValueError(f"theta_raw={theta_raw} outside [{-MN // 2}, {MN // 2})")
-
-    def serial(grid_dd: np.ndarray) -> np.ndarray:
-        return dd_to_dt(grid_dd).ravel(order="F")
-
+    pilots, preamble, pieces, body_end, payload_start = _stream_layout(cfg)
     # all three grids are drawn in stream order, so the RNG stream is the
     # same whichever fillers the window reaches
-    prepend = build_dd_frame(frame, None, rng)
-    payload = serial(build_dd_frame(frame, cfg.pilot, rng))
-    append = build_dd_frame(frame, None, rng)
-    block = np.concatenate([payload[-frame.L_CP:], payload]) if frame.L_CP else payload
-    pre = zadoff_chu(cfg.preamble.length, cfg.preamble.root) if cfg.preamble else np.zeros(0)
-    body_end = MN + pre.size + cfg.blocks_per_frame * block.size
-
+    grids = build_dd_frame(frame, pilots, rng)
     ch = realize_channel(profile, cfg.sample_rate_hz, rng)
-    start = MN + pre.size + frame.L_CP + theta_raw
+    start = payload_start + theta_raw
     # the window depends on the stream from max(taps) samples before it on;
-    # a filler is transformed only when that span reaches it
-    lo = max(start - int(ch.taps.max()), 0)
-    parts = [pre, np.tile(block, cfg.blocks_per_frame)]
-    first = MN
-    if lo < MN:
-        parts.insert(0, serial(prepend))
-        first = 0
-    if start + MN > body_end:
-        parts.append(serial(append))
-    stream = np.concatenate(parts)
-    faded = apply_fading(stream[lo - first : start + MN - first], ch, start=lo)
-    win = apply_awgn(faded[start - lo :], snr_db, rng)
-    planes = np.empty((2, MN), dtype=np.float32)
-    planes[0], planes[1] = win.real, win.imag
+    # only the grids that span reaches are transformed
+    lo, hi = max(start - int(ch.taps.max()), 0), start + MN
+    first = 0 if lo < MN else 1
+    last = 3 if hi > body_end else 2
+    sources = [None, None, None, preamble]
+    sources[first:last] = dd_to_dt(grids[first:last]).transpose(0, 2, 1).reshape(-1, MN)
+    # copy the stream's span [lo, hi) from the pieces it overlaps
+    span = np.empty(hi - lo, dtype=np.complex128)
+    for at, src, part in pieces:
+        if sources[src] is None:
+            continue
+        x = sources[src][part]
+        a, b = max(at, lo), min(at + x.size, hi)
+        if a < b:
+            span[a - lo : b - lo] = x[a - at : b - at]
+    faded = apply_fading(span, ch, start=lo)
+    planes = apply_awgn(faded[start - lo :], snr_db, rng,
+                        out=np.empty((2, MN), dtype=np.float32))
     wrapped, theta_t, theta_d = label_of(theta_raw, frame.M, frame.N)
     return CaptureRecord(
         window=planes,

@@ -14,11 +14,14 @@ The DD -> DT map is a unitary inverse DFT along the Doppler axis,
 
     X_DT[m, n] = (1/sqrt(N)) * sum_k X_DD[m, k] * exp(+2j*pi*n*k/N),
 
-so both directions preserve grid energy exactly.
+so both directions preserve grid energy exactly.  The Doppler (or time)
+axis is the last one, so a ``(k, M, N)`` stack of grids transforms in one
+call, each grid bitwise as on its own.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -134,40 +137,53 @@ def psk_constellation(order: int) -> np.ndarray:
     return np.exp(1j * (2 * np.pi * k / order + np.pi / order))
 
 
-def draw_data_symbols(shape: tuple[int, ...], order: int, rng: np.random.Generator) -> np.ndarray:
-    points = psk_constellation(order)
-    return points[rng.integers(0, order, size=shape)]
+@functools.lru_cache(maxsize=32)
+def _grid_plan(frame: FrameConfig, pilots: tuple[PilotConfig | None, ...]):
+    """The constellation of ``frame`` and, for each piloted grid of a stack,
+    (index, guard rows, pilot), validated once per geometry."""
+    cells = []
+    for i, pilot in enumerate(pilots):
+        if pilot is not None:
+            pilot.validate_against(frame)
+            cells.append((i, pilot.guard_rows(frame.M), pilot))
+    return psk_constellation(frame.mod_order), tuple(cells)
 
 
 def build_dd_frame(
     frame: FrameConfig,
-    pilot: PilotConfig | None,
+    pilot: PilotConfig | None | tuple[PilotConfig | None, ...],
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Populate one M x N delay-Doppler grid.
+    """Populate one M x N delay-Doppler grid, or a stack of them.
 
     Data cells draw i.i.d. unit-average-power constellation symbols.  When a
     pilot is given, its guard rows are zeroed and the single pilot cell is set
     to the (real) pilot amplitude.  ``pilot=None`` yields an all-data grid,
     which is how the surrounding filler segments of a capture are built.
+
+    A tuple of pilots (each a ``PilotConfig`` or None) builds a ``(k, M, N)``
+    stack in one draw, grid i with pilot i; its symbols are those of k calls
+    in a row on the same generator.
     """
-    grid = draw_data_symbols((frame.M, frame.N), frame.mod_order, rng).astype(
-        np.complex128, copy=False)
-    if pilot is not None:
-        pilot.validate_against(frame)
-        grid[pilot.guard_rows(frame.M), :] = 0.0
-        grid[pilot.m_p, pilot.n_p] = pilot.amplitude
-    return grid
+    stack = isinstance(pilot, tuple)
+    pilots = pilot if stack else (pilot,)
+    points, cells = _grid_plan(frame, pilots)
+    grids = points[rng.integers(0, frame.mod_order, size=(len(pilots), frame.M, frame.N))]
+    for i, rows, p in cells:
+        grids[i, rows, :] = 0.0
+        grids[i, p.m_p, p.n_p] = p.amplitude
+    return grids if stack else grids[0]
 
 
 def dd_to_dt(grid_dd: np.ndarray) -> np.ndarray:
-    """Unitary inverse DFT along the Doppler axis (rows stay delay-indexed)."""
-    return np.fft.ifft(grid_dd, axis=1, norm="ortho")
+    """Unitary inverse DFT along the Doppler (last) axis: rows stay
+    delay-indexed, and a ``(k, M, N)`` stack transforms grid by grid."""
+    return np.fft.ifft(grid_dd, axis=-1, norm="ortho")
 
 
 def dt_to_dd(grid_dt: np.ndarray) -> np.ndarray:
-    """Exact inverse of :func:`dd_to_dt` (unitary forward DFT along axis 1)."""
-    return np.fft.fft(grid_dt, axis=1, norm="ortho")
+    """Exact inverse of :func:`dd_to_dt` (unitary forward DFT along the last axis)."""
+    return np.fft.fft(grid_dt, axis=-1, norm="ortho")
 
 
 def serialize_time(

@@ -35,6 +35,7 @@ from .nn.model import (
     count_flops,
     flops_report,
     param_count,
+    text_columns,
     two_stage_flops,
 )
 from .pipeline import infer_one_stage, infer_two_stage
@@ -327,12 +328,12 @@ def complexity_csv(rows: list[ComplexityRow]) -> str:
 def complexity_table(rows: list[ComplexityRow], M: int, N: int) -> str:
     """The per-method cost table, then each head's per-layer forward FLOPs
     with its parameter count, then the two-stage forward total."""
-    out = [f"per-capture cost at M={M}, N={N}:",
-           f"{'method':<14}{'FLOPs':>16}{'params':>14}{'runtime_ms':>12}"]
+    cells = [("method", "FLOPs", "params", "runtime_ms")]
     for r in rows:
         params = "-" if r.params is None else f"{r.params:,}"
         runtime = "-" if r.runtime_s is None else f"{1e3 * r.runtime_s:.3f}"
-        out.append(f"{r.method:<14}{r.flops:>16,}{params:>14}{runtime:>12}")
+        cells.append((r.method, f"{r.flops:,}", params, runtime))
+    out = [f"per-capture cost at M={M}, N={N}:", *text_columns(cells, (14, 16, 14, 12))]
     for head in HEADS:
         out.append(f"\n{head} head ({param_count(M, N, head):,} parameters):")
         out.extend(f"  {line}" for line in flops_report(M, N, head).lines())

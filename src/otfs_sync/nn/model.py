@@ -308,16 +308,21 @@ class FlopsReport:
         return self.mac_flops + self.elementwise
 
     def lines(self) -> list[str]:
-        out = [f"{'layer':<22}{'MACs':>14}{'2*MACs':>14}{'elementwise':>13}{'FLOPs':>14}"]
-        for r in self.rows:
-            out.append(
-                f"{r.name:<22}{r.macs:>14,}{2 * r.macs:>14,}{r.elementwise:>13,}{r.flops:>14,}"
-            )
-        out.append(
-            f"{'total':<22}{self.macs:>14,}{self.mac_flops:>14,}"
-            f"{self.elementwise:>13,}{self.total:>14,}"
-        )
-        return out
+        rows = [("layer", "MACs", "2*MACs", "elementwise", "FLOPs")]
+        rows += [(r.name, f"{r.macs:,}", f"{2 * r.macs:,}", f"{r.elementwise:,}",
+                  f"{r.flops:,}") for r in self.rows]
+        rows.append(("total", f"{self.macs:,}", f"{self.mac_flops:,}",
+                     f"{self.elementwise:,}", f"{self.total:,}"))
+        return text_columns(rows, (22, 14, 14, 13, 14))
+
+
+def text_columns(rows: list[tuple[str, ...]], widths: tuple[int, ...]) -> list[str]:
+    """Lay out rows of cells as text: the first column left-aligned, the rest
+    right-aligned.  Each column is at least its ``widths`` entry wide and one
+    wider than its widest cell, so neighbouring cells never touch."""
+    w = [max(m, 1 + max(len(r[j]) for r in rows)) for j, m in enumerate(widths)]
+    return [r[0].ljust(w[0]) + "".join(c.rjust(n) for c, n in zip(r[1:], w[1:]))
+            for r in rows]
 
 
 def _resblock_rows(name: str, cin: int, cout: int, L: int) -> list[FlopsRow]:

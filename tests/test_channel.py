@@ -63,6 +63,13 @@ class TestRealization:
         assert ch.gains[0] == 1.0 + 0.0j
         assert ch.doppler_hz[0] == 0.0 and ch.phases[0] == 0.0
 
+    def test_awgn_realization_is_shared_and_read_only(self):
+        ch = realize_channel(AWGN_PROFILE, FS, _rng(1))
+        assert realize_channel(AWGN_PROFILE, FS, _rng(2)) is ch
+        assert realize_channel(AWGN_PROFILE, 2 * FS, _rng()).sample_rate_hz == 2 * FS
+        with pytest.raises(ValueError):
+            ch.gains[0] = 2.0
+
     def test_rayleigh_taps_at_10mhz(self):
         # 0 ns, 100 ns, 200 ns at 100 ns sample period -> taps 0, 1, 2
         ch = realize_channel(RAYLEIGH_PROFILE, FS, _rng())
@@ -195,6 +202,28 @@ class TestNoise:
         y = apply_awgn(x, np.inf, _rng(26))
         assert np.array_equal(y, x)
         assert y is not x
+
+    def test_matches_complex_noise_bitwise(self):
+        # real parts draw first: x + s*(a + 1j*b), with no complex temporaries
+        x = _rng(27).standard_normal(300) + 1j * _rng(28).standard_normal(300)
+        for snr_db in (-3.0, 0.0, 17.5):
+            rng = _rng(29)
+            s = np.sqrt(np.mean(np.abs(x) ** 2) * 10.0 ** (-snr_db / 10.0) / 2.0)
+            want = x + s * (rng.standard_normal(300) + 1j * rng.standard_normal(300))
+            assert apply_awgn(x, snr_db, _rng(29)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("snr_db", [np.inf, 6.0])
+    def test_out_planes_round_the_complex_result_once(self, snr_db):
+        x = (_rng(30).standard_normal(64) + 1j * _rng(31).standard_normal(64)).reshape(8, 8)
+        want = apply_awgn(x, snr_db, _rng(32))
+        out = np.empty((2, 8, 8), dtype=np.float32)
+        assert apply_awgn(x, snr_db, _rng(32), out=out) is out
+        assert out[0].tobytes() == want.real.astype(np.float32).tobytes()
+        assert out[1].tobytes() == want.imag.astype(np.float32).tobytes()
+
+    def test_empty_signal_rejected(self):
+        with pytest.raises(ValueError, match="all-zero"):
+            apply_awgn(np.zeros(0, dtype=complex), 10.0, _rng())
 
     def test_zero_signal_rejected(self):
         with pytest.raises(ValueError):

@@ -63,6 +63,17 @@ class TestHappyPath:
         (count,) = struct.unpack_from("<Q", raw, 24)
         assert count == 120
 
+    def test_gen_reports_its_throughput(self, workdir, tmp_path, capsys):
+        out = tmp_path / "again.otfsds"
+        assert main(["gen", "--config", str(workdir["config"]), "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"wrote 120 records to {out}"
+        end = json.loads(lines[1])
+        assert end["event"] == "gen_end"
+        assert end["records"] == 120 and end["bytes"] == out.stat().st_size
+        assert end["seconds"] > 0
+        assert end["captures_per_s"] == pytest.approx(120 / end["seconds"], rel=1e-3)
+
     def test_train_artifacts(self, workdir):
         for key in ("coarse", "fine", "onestage"):
             path = workdir[key]
@@ -200,6 +211,15 @@ class TestHappyPath:
         assert any(line.split()[0] == "rb1.conv7" for line in lines if line.strip())
         assert lines[-1] == "two-stage forward total: 186,646,848 FLOPs"
 
+    def test_complexity_columns_never_touch(self, capsys):
+        # 16-digit cells wider than the default column widths
+        assert main(["complexity", "--M", "100000", "--N", "100000", "--no-runtime"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [len(line.split()) for line in lines[1:6]] == [4] * 5
+        layer_rows = [line for line in lines if line.startswith("  ")]
+        assert len(layer_rows) > 3 * 20
+        assert {len(line.split()) for line in layer_rows} == {5}
+
     def test_complexity_analytic_only_csv(self, workdir):
         out_csv = workdir["root"] / "complexity.csv"
         assert main([
@@ -255,6 +275,20 @@ class TestExitCodes:
         assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
         assert "snr_grid_db" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config_seed,flags,seed", [
+        (-5, [], -5),
+        (13, ["--seed", "-3"], -3),
+        (13, ["--seed", str(2**64)], 2**64),     # one past the u64 header field
+    ])
+    def test_seed_outside_u64_is_2(self, tmp_path, capsys, config_seed, flags, seed):
+        cfg = tmp_path / "seed.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "global_seed": config_seed}))
+        out = tmp_path / "seed.otfsds"
+        assert main(["gen", "--config", str(cfg), "--out", str(out), *flags]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "config error" in err and f"global_seed must lie in [0, 2**64), got {seed}" in err
 
     def test_bad_dataset_magic_is_3(self, tmp_path):
         bad = tmp_path / "bad.otfsds"

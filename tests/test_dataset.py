@@ -283,6 +283,56 @@ class TestFormatVersion3:
             "f197ffd842985aa915a5f7444a7fb90066ff1efb394112761b32ad4171fa38ff")
 
 
+ALL_CHANNELS = (AWGN_PROFILE, RAYLEIGH_PROFILE, EVA_PROFILE)
+
+
+class TestSynthesisPins:
+    """Byte pins of files whose noiseless records carry the guard rows'
+    exact and signed zeros, and whose streams repeat the block or start with
+    a preamble, taken before the synthesis path was rewritten."""
+
+    def _sha(self, cfg, tmp_path):
+        path = tmp_path / "pin.otfsds"
+        write_dataset(cfg, path)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_toy_two_block_preamble_file(self, tmp_path):
+        cfg = DatasetConfig(frame=TOY, channels=ALL_CHANNELS,
+                            snr_grid_db=(float("inf"), 0.0), samples_per_channel=20,
+                            blocks_per_frame=2, preamble=PreambleConfig(length=64, root=5),
+                            global_seed=23)
+        assert self._sha(cfg, tmp_path) == (
+            "1141d689aaef45382536ae30743eb8405eb5fbbf9ad8f9636fc1ff6ee6795653")
+
+    def test_default_preamble_file(self, tmp_path):
+        cfg = DatasetConfig(channels=ALL_CHANNELS, snr_grid_db=(float("inf"), 10.0),
+                            samples_per_channel=3,
+                            preamble=PreambleConfig(length=256, root=25), global_seed=29)
+        assert self._sha(cfg, tmp_path) == (
+            "5822b49c70b8e1d877b943b9b4a3e09eaeec748279bf28fde83a1a547c670416")
+
+    def test_capture_regenerates_every_record(self):
+        # what a reader checking one record does: redraw its labels from its
+        # own stream, then synthesize that capture alone
+        cfg = _toy_config(channels=ALL_CHANNELS, snr_grid_db=(float("inf"), 0.0, 20.0),
+                          samples_per_channel=30, preamble=PreambleConfig(length=64, root=5))
+        ds = generate_dataset(cfg)
+        MN = TOY.grid_size
+        k = 0
+        for cid, profile in channel_table(cfg):
+            for i in range(cfg.samples_per_channel):
+                rng = per_record_rng(cfg.global_seed, cid, i)
+                theta = int(rng.integers(-MN // 2, MN // 2))
+                snr = cfg.snr_grid_db[rng.integers(len(cfg.snr_grid_db))]
+                rec = synthesize_capture(cfg, profile, cid, snr, theta, rng)
+                assert rec.window.tobytes() == ds.windows[k].tobytes(), k
+                assert (rec.channel_id, rec.theta_raw, rec.theta_wrapped) == (
+                    ds.channel_id[k], ds.theta_raw[k], ds.theta_wrapped[k])
+                assert np.float32(rec.snr_db) == ds.snr_db[k]
+                k += 1
+        assert k == len(ds)
+
+
 class TestDeterminism:
     def test_identical_seeds_identical_records(self):
         cfg = _toy_config(channels=(RAYLEIGH_PROFILE,))
@@ -337,6 +387,13 @@ class TestConfig:
             _toy_config(train_fraction=0.0)
         with pytest.raises(ValueError):
             _toy_config(samples_per_channel=0)
+
+    @pytest.mark.parametrize("seed", [-5, -1, 2**64, 2**70])
+    def test_seed_outside_the_header_field_rejected(self, seed):
+        # the header stores the seed as a u64
+        assert _toy_config(global_seed=2**64 - 1).global_seed == 2**64 - 1
+        with pytest.raises(ValueError, match=f"global_seed .* got {seed}"):
+            _toy_config(global_seed=seed)
 
     @pytest.mark.parametrize("snr", [float("nan"), float("-inf")])
     def test_non_finite_snr_rejected(self, snr):

@@ -96,7 +96,35 @@ class TestBuildFrame:
         assert np.allclose(np.mean(np.abs(pts) ** 2), 1.0)
 
 
+    def test_stack_equals_calls_in_a_row(self):
+        cfg = FrameConfig(M=16, N=8, L_CP=4, mod_order=8)
+        pilot = PilotConfig.for_frame(cfg, guard_halfwidth=2)
+        pilots = (None, pilot, None, pilot)
+        one, calls = _rng(4), _rng(4)
+        stack = build_dd_frame(cfg, pilots, one)
+        assert stack.shape == (4, 16, 8)
+        for grid, p in zip(stack, pilots):
+            assert grid.tobytes() == build_dd_frame(cfg, p, calls).tobytes()
+        # and both leave the generator at the same point
+        assert one.integers(1 << 62) == calls.integers(1 << 62)
+
+    def test_stack_validates_each_pilot(self):
+        cfg = FrameConfig(M=8, N=4, L_CP=0)
+        bad = PilotConfig(m_p=9, n_p=0, amplitude=1.0, guard_halfwidth=0)
+        with pytest.raises(ValueError, match="m_p"):
+            build_dd_frame(cfg, (None, bad), _rng())
+
+
 class TestTransforms:
+    def test_stack_transforms_grid_by_grid(self):
+        rng = _rng(5)
+        stack = rng.standard_normal((3, 16, 8)) + 1j * rng.standard_normal((3, 16, 8))
+        dt = dd_to_dt(stack)
+        dd = dt_to_dd(stack)
+        for i in range(3):
+            assert dt[i].tobytes() == dd_to_dt(stack[i]).tobytes()
+            assert dd[i].tobytes() == dt_to_dd(stack[i]).tobytes()
+
     def test_matches_direct_sum_oracle(self):
         rng = _rng(3)
         grid = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
