@@ -29,7 +29,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from otfs_sync.dataset import read_dataset, write_dataset
+from otfs_sync.dataset import PreambleConfig, read_dataset, write_dataset
 from otfs_sync.config import parse_dataset_config
 from otfs_sync.metrics import (
     SweepModels,
@@ -120,7 +120,7 @@ def main() -> int:
         print(f"  {method:<14} accuracy {row.accuracy:.4f}  rmse {row.rmse:.3f}")
     (outdir / "metrics.csv").write_text(rows_to_csv(overall + per_condition))
 
-    cost = complexity_report(test_ds.M, test_ds.N, preamble_len=64,
+    cost = complexity_report(test_ds.M, test_ds.N, preamble=PreambleConfig(64),
                              models=models, repeats=25)
     (outdir / "complexity.csv").write_text(complexity_csv(cost))
     print("\n" + complexity_table(cost, test_ds.M, test_ds.N), end="")

@@ -1,5 +1,11 @@
 """Command-line workbench: gen / train / eval / sweep / complexity / info.
 
+``eval``, ``sweep`` and ``complexity`` take trained heads as one
+``--weights PATH [PATH ...]`` list, in any order: each file goes where the
+head in its own metadata says, and a method whose heads
+(``metrics.METHOD_HEADS``) are not all there is refused before any
+estimate runs.
+
 Exit codes: 0 success, 2 configuration error, 3 data-format error,
 4 runtime or training failure.
 """
@@ -16,9 +22,10 @@ from dataclasses import replace
 import numpy as np
 
 from .config import ConfigError, load_dataset_config
-from .dataset import DataFormatError, read_dataset, write_dataset
+from .dataset import DataFormatError, PreambleConfig, read_dataset, write_dataset
 from .frames import zadoff_chu
 from .metrics import (
+    METHOD_HEADS,
     METHODS,
     SweepModels,
     complexity_csv,
@@ -32,11 +39,8 @@ from .metrics import (
     sweep,
 )
 from .nn.io import WeightsFormatError, read_metadata, read_table
-from .nn.model import check_weights_meta, load_model
+from .nn.model import HEADS, check_weights_meta, load_model
 from .pipeline import TrainHyper, save_training_result, train_coarse, train_fine, train_one_stage
-
-# the models each learned method needs, by SweepModels field
-_METHOD_HEADS = {"resnet2stage": ("coarse", "fine"), "resnet1stage": ("onestage",)}
 
 
 def _check_args(args: argparse.Namespace) -> None:
@@ -68,19 +72,32 @@ def _preamble(length: int, root: int) -> np.ndarray:
         raise ConfigError(str(exc)) from exc
 
 
-def _load_checked(path: str, heads: tuple[str, ...], grid: tuple[int, int],
-                  wrong_head: str, wrong_grid: str):
-    """Load a weights file that must hold one of ``heads`` for the M x N
-    ``grid``.  The error templates may use {path}, {head}, {expected},
-    {M}, {N} (the file's) and {grid} (the requested one)."""
-    model, _ = load_model(path)
-    fields = {"path": path, "head": model.head, "expected": heads[0],
-              "M": model.M, "N": model.N, "grid": f"{grid[0]}x{grid[1]}"}
-    if model.head not in heads:
-        raise ConfigError(wrong_head.format(**fields))
-    if (model.M, model.N) != grid:
-        raise ConfigError(wrong_grid.format(**fields))
-    return model
+def _load_heads(paths: list[str], grid: tuple[int, int]) -> dict:
+    """Load each weights file once, keyed by the head its metadata names.
+    A second file for one head, or a model built for another grid than the
+    M x N ``grid``, is a configuration error."""
+    models = {}
+    for path in paths:
+        model, _ = load_model(path)
+        if model.head in models:
+            raise ConfigError(f"{path} holds a second {model.head} model")
+        if (model.M, model.N) != grid:
+            raise ConfigError(f"{path} holds a {model.M}x{model.N} model, "
+                              f"expected {grid[0]}x{grid[1]}")
+        models[model.head] = model
+    return models
+
+
+def _write_out(path: str | None, csv_text: str, what: str, shown: str | None = None) -> int:
+    """Write ``csv_text`` to ``path`` and say so, or, with no path, print
+    ``shown`` (the CSV itself by default)."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(csv_text)
+        print(f"wrote {what} to {path}")
+    else:
+        print(csv_text if shown is None else shown, end="")
+    return 0
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -99,13 +116,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_split(path: str, train_fraction: float):
-    ds = read_dataset(path)
-    return ds.split(train_fraction)
-
-
 def _cmd_train(args: argparse.Namespace) -> int:
-    train_ds, test_ds = _load_split(args.dataset, args.train_fraction)
+    train_ds, test_ds = read_dataset(args.dataset).split(args.train_fraction)
     hyper = TrainHyper(
         lr=args.lr,
         batch_size=args.batch,
@@ -121,10 +133,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
     else:
         if not args.coarse_weights:
             raise ConfigError("--stage fine requires --coarse-weights")
-        coarse = _load_checked(
-            args.coarse_weights, ("coarse",), (train_ds.M, train_ds.N),
-            "{path} does not hold a coarse model",
-            "coarse model geometry {M}x{N} does not match dataset {grid}")
+        coarse = _load_heads([args.coarse_weights], (train_ds.M, train_ds.N)).get("coarse")
+        if coarse is None:
+            raise ConfigError(f"{args.coarse_weights} does not hold a coarse model")
         result = train_fine(coarse, train_ds, test_ds, hyper, log)
 
     save_training_result(result, hyper, args.out_weights)
@@ -140,23 +151,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _load_models_for(args: argparse.Namespace, ds, methods: list[str]) -> SweepModels:
-    grid = (ds.M, ds.N)
-    wrong_grid = "model geometry {M}x{N} does not match dataset {grid}"
-    loaded = {}
-    for path, heads, wrong_head in (
-        (args.weights, ("coarse", "onestage"),
-         "--weights holds a {head} model; pass the fine stage via --fine-weights"),
-        (args.fine_weights, ("fine",), "{path} does not hold a fine model"),
-        (args.onestage_weights, ("onestage",), "{path} does not hold a one-stage model"),
-    ):
-        if path:
-            model = _load_checked(path, heads, grid, wrong_head, wrong_grid)
-            loaded[model.head] = model
+    loaded = _load_heads(args.weights, (ds.M, ds.N))
     for method in methods:
-        if any(head not in loaded for head in _METHOD_HEADS.get(method, ())):
-            raise ConfigError(
-                f"{method} needs {' and '.join(_METHOD_HEADS[method])} weights"
-            )
+        if not loaded.keys() >= set(METHOD_HEADS[method]):
+            raise ConfigError(f"{method} needs {' and '.join(METHOD_HEADS[method])} weights")
     preamble = _preamble(args.preamble_length, args.preamble_root)
     pilot_row = args.pilot_row if args.pilot_row is not None else ds.M // 2
     if not 0 <= pilot_row < ds.M:
@@ -176,14 +174,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     theta_hat = estimate_all(test_ds, args.method, models, args.batch)
     rows = condition_rows(test_ds, args.method, theta_hat)
     rows.append(overall_row(test_ds, args.method, theta_hat))
-    csv_text = rows_to_csv(rows)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(csv_text)
-        print(f"wrote {len(rows)} rows to {args.out}")
-    else:
-        print(csv_text, end="")
-    return 0
+    return _write_out(args.out, rows_to_csv(rows), f"{len(rows)} rows")
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -203,50 +194,35 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     rows = sweep(test_ds, methods, models, snr_values=snr_values, batch_size=args.batch)
-    csv_text = rows_to_csv(rows)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(csv_text)
-        print(f"wrote {len(rows)} rows to {args.out}")
-    else:
-        print(csv_text, end="")
-    return 0
+    return _write_out(args.out, rows_to_csv(rows), f"{len(rows)} rows")
 
 
 def _cmd_complexity(args: argparse.Namespace) -> int:
     if args.config:
         cfg = load_dataset_config(args.config)
         M, N = cfg.frame.M, cfg.frame.N
-        preamble_len = cfg.preamble.length if cfg.preamble else 256
+        preamble = cfg.preamble or PreambleConfig()
         pilot_row = cfg.pilot.m_p
     else:
-        M, N, preamble_len, pilot_row = args.M, args.N, args.preamble_length, None
+        M, N, pilot_row = args.M, args.N, None
+        preamble = PreambleConfig(args.preamble_length)
         if M < 1 or N < 1:
             raise ConfigError(f"--M and --N must be >= 1, got {M}x{N}")
     if not args.no_runtime:
-        _preamble(preamble_len, 25)  # the one complexity_report times crosscorr with
+        _preamble(preamble.length, preamble.root)  # the one crosscorr is timed with
+        if preamble.length > M * N:
+            raise ConfigError(f"timing crosscorr needs the {preamble.length}-sample preamble "
+                              f"within the {M * N}-sample window")
         if M * N % 8:
             raise ConfigError(f"timing the classifiers needs M*N divisible by 8, got {M}x{N}")
-    loaded = {}
-    for head, path in (("coarse", args.weights), ("fine", args.fine_weights),
-                       ("onestage", args.onestage_weights)):
-        if path:
-            loaded[head] = _load_checked(
-                path, (head,), (M, N), "{path} holds a {head} model, expected {expected}",
-                "{path} was trained for {M}x{N}, requested {grid}")
-    models = SweepModels(**loaded) if loaded else None
+    models = SweepModels(**_load_heads(args.weights, (M, N)))
     rows = complexity_report(
-        M, N, preamble_len=preamble_len, pilot_row=pilot_row,
+        M, N, preamble=preamble, pilot_row=pilot_row,
         models=models, repeats=args.repeats,
         measure_runtime=not args.no_runtime,
     )
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(complexity_csv(rows))
-        print(f"wrote complexity table to {args.out}")
-    else:
-        print(complexity_table(rows, M, N), end="")
-    return 0
+    return _write_out(args.out, complexity_csv(rows), "complexity table",
+                      complexity_table(rows, M, N))
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
@@ -269,7 +245,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
         with open(args.weights, "rb") as fh:
             table = read_table(fh, args.weights)
             meta = read_metadata(fh, args.weights, table)
-        head, M, N = check_weights_meta(args.weights, meta)
+        head, M, N = check_weights_meta(args.weights, meta, table)
         print(f"weights {args.weights}")
         print(f"  head     {head}")
         print(f"  geometry M={M} N={N}")
@@ -296,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=_cmd_gen)
 
     t = sub.add_parser("train", help="train one classifier stage")
-    t.add_argument("--stage", required=True, choices=["coarse", "fine", "onestage"])
+    t.add_argument("--stage", required=True, choices=HEADS)
     t.add_argument("--dataset", required=True)
     t.add_argument("--out-weights", required=True)
     t.add_argument("--coarse-weights", help="trained coarse stage (fine training)")
@@ -309,11 +285,13 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--report", help="per-epoch JSON-lines path")
     t.set_defaults(func=_cmd_train)
 
+    def add_weights_flag(sp):
+        sp.add_argument("--weights", nargs="+", default=[], metavar="PATH",
+                        help="weights files in any order, at most one per head")
+
     def add_eval_flags(sp):
         sp.add_argument("--dataset", required=True)
-        sp.add_argument("--weights", help="coarse or one-stage weights")
-        sp.add_argument("--fine-weights")
-        sp.add_argument("--onestage-weights")
+        add_weights_flag(sp)
         sp.add_argument("--train-fraction", type=float, default=0.8)
         sp.add_argument("--batch", type=int, default=256)
         sp.add_argument("--preamble-length", type=int, default=256)
@@ -342,9 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--M", type=int, default=256)
     c.add_argument("--N", type=int, default=64)
     c.add_argument("--preamble-length", type=int, default=256)
-    c.add_argument("--weights")
-    c.add_argument("--fine-weights")
-    c.add_argument("--onestage-weights")
+    add_weights_flag(c)
     c.add_argument("--repeats", type=int, default=100)
     c.add_argument("--no-runtime", action="store_true",
                    help="skip runtime measurement (analytic columns only)")

@@ -26,7 +26,7 @@ from .classic import (
     crosscorr_offsets,
     planes_to_complex,
 )
-from .dataset import Dataset
+from .dataset import Dataset, PreambleConfig
 from .frames import zadoff_chu
 from .nn.model import (
     HEADS,
@@ -40,7 +40,10 @@ from .nn.model import (
 )
 from .pipeline import infer_one_stage, infer_two_stage
 
-METHODS = ("crosscorr", "autocorr2d", "resnet2stage", "resnet1stage")
+# every method, and the trained heads (SweepModels fields) each one needs
+METHOD_HEADS = {"crosscorr": (), "autocorr2d": (), "resnet2stage": ("coarse", "fine"),
+                "resnet1stage": ("onestage",)}
+METHODS = tuple(METHOD_HEADS)
 
 # the most parameters a head may have for complexity_report to build it just
 # to time it: every toy head and the default coarse (2.1M) and fine (8.4M)
@@ -100,15 +103,15 @@ def estimate_all(ds: Dataset, method: str, models: SweepModels,
     ``crosscorr`` filters the whole stack of windows in one call of
     :func:`~otfs_sync.classic.crosscorr_offsets` (chunks of ``CHUNK_BYTES``);
     ``autocorr2d`` runs once per record.  Either way each record's estimate
-    is exactly that of the single-window ``*_sync`` function.
+    is exactly that of the single-window ``*_sync`` function.  A learned
+    method without every head :data:`METHOD_HEADS` names raises ValueError.
     """
+    heads = METHOD_HEADS.get(method, ())
+    if any(getattr(models, head) is None for head in heads):
+        raise ValueError(f"{method} needs {' and '.join(heads)} weights")
     if method == "resnet2stage":
-        if models.coarse is None or models.fine is None:
-            raise ValueError("resnet2stage needs coarse and fine weights")
         return infer_two_stage(ds.windows, models.coarse, models.fine, batch_size)
     if method == "resnet1stage":
-        if models.onestage is None:
-            raise ValueError("resnet1stage needs one-stage weights")
         return infer_one_stage(ds.windows, models.onestage, batch_size)
     if method == "autocorr2d":
         m_p = models.pilot_row
@@ -259,7 +262,7 @@ def _median_runtime(fn, repeats: int) -> float:
 def complexity_report(
     M: int,
     N: int,
-    preamble_len: int = 256,
+    preamble: PreambleConfig = PreambleConfig(),
     pilot_row: int | None = None,
     models: SweepModels | None = None,
     repeats: int = 100,
@@ -269,9 +272,9 @@ def complexity_report(
     median single-capture runtime over ``repeats`` inferences.
 
     FLOPs count the paper's direct-form algorithms; runtimes time this
-    implementation.  Cross-correlation is timed against the Zadoff-Chu
-    preamble of length ``preamble_len`` with the default root 25, so that
-    length must be coprime with 25 when runtime is measured.  A head in
+    implementation.  Cross-correlation is counted for the length of
+    ``preamble`` and timed against its Zadoff-Chu sequence, so its root must
+    be coprime with its length when runtime is measured.  A head in
     ``models`` is always timed; a missing one is built only when it has at
     most :data:`MAX_TIMED_PARAMS` parameters, and a method left without a
     live head gets ``runtime_s = None``."""
@@ -290,7 +293,7 @@ def complexity_report(
         rng = np.random.Generator(np.random.PCG64(12345))
         win_planes = rng.standard_normal((1, 2, MN)).astype(np.float32)
         win_complex = planes_to_complex(win_planes[0])
-        preamble = zadoff_chu(preamble_len, 25)
+        sequence = zadoff_chu(preamble.length, preamble.root)
     coarse, fine, onestage = (live.get(head) for head in HEADS)
 
     costs = (
@@ -300,8 +303,8 @@ def complexity_report(
          else lambda: infer_two_stage(win_planes, coarse, fine, 1)),
         ("resnet1stage", count_flops(M, N, "onestage"), param_count(M, N, "onestage"),
          None if onestage is None else lambda: onestage.predict_classes(win_planes, 1)),
-        ("crosscorr", 8 * crosscorr_macs(MN, preamble_len), None,
-         lambda: cross_correlate_sync(win_complex, preamble, M)),
+        ("crosscorr", 8 * crosscorr_macs(MN, preamble.length), None,
+         lambda: cross_correlate_sync(win_complex, sequence, M)),
         ("autocorr2d", 8 * autocorr2d_macs(M, N), None,
          lambda: autocorr2d_sync(win_complex, M, N, pilot_row)),
     )

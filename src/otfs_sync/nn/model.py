@@ -121,13 +121,7 @@ class SyncModel:
         targets = [("tensor", name, p.value) for name, p in self.net.named_parameters()]
         targets += [("buffer", name, b) for name, b in self.net.named_buffers()]
         for kind, name, dst in targets:
-            if name not in entries:
-                raise KeyError(f"weights file is missing {kind} {name!r}")
-            if entries[name].shape != dst.shape:
-                raise ValueError(
-                    f"{kind} {name!r} has shape {entries[name].shape}, "
-                    f"model expects {dst.shape}"
-                )
+            _check_entry(entries, kind, name, dst.shape)
         return [(name, dst) for _, name, dst in targets]
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
@@ -136,6 +130,22 @@ class SyncModel:
         is missing or does not match)."""
         for name, dst in self.state_targets(state):
             dst[...] = state[name]
+
+
+def _check_entry(entries: Mapping, kind: str, name: str, shape: tuple[int, ...]) -> None:
+    """Raise KeyError unless ``entries`` names ``name``, and ValueError
+    unless that entry has exactly ``shape``."""
+    if name not in entries:
+        raise KeyError(f"weights file is missing {kind} {name!r}")
+    if entries[name].shape != shape:
+        raise ValueError(f"{kind} {name!r} has shape {entries[name].shape}, "
+                         f"model expects {shape}")
+
+
+def fc_shape(M: int, N: int, head: str) -> tuple[int, int]:
+    """(classes, features) of the ``fc`` weight: with its bias, the only
+    tensors whose shapes depend on the grid or the head."""
+    return head_classes(head, M, N), TRUNK[-1][2] * (M * N // 8)
 
 
 def check_geometry(M: int, N: int) -> None:
@@ -168,8 +178,8 @@ def _build(M: int, N: int, head: str, rng, dtype) -> SyncModel:
         children.append((name, ResBlock(cin, cout, rng, dtype)))
         children.append((f"pool{i}", MaxPool1d(2, 2)))
     children.append(("flatten", Flatten()))
-    feat = TRUNK[-1][2] * (M * N // 8)
-    children.append(("fc", Linear(feat, head_classes(head, M, N), rng, dtype)))
+    classes, feat = fc_shape(M, N, head)
+    children.append(("fc", Linear(feat, classes, rng, dtype)))
     return SyncModel(M, N, head, Sequential(children))
 
 
@@ -206,10 +216,13 @@ def save_model(path: str, model: SyncModel, metadata: dict[str, float] | None = 
     save_tensors(path, tensors)
 
 
-def check_weights_meta(path: str, meta: dict[str, float]) -> tuple[str, int, int]:
-    """The (head, M, N) a weights file's metadata names.  A missing entry, an
-    unknown head code or a grid the trunk cannot take raises
-    WeightsFormatError naming ``path``."""
+def check_weights_meta(path: str, meta: dict[str, float],
+                       table: Mapping) -> tuple[str, int, int]:
+    """The (head, M, N) a weights file's metadata names, once the ``fc``
+    entries of its tensor ``table`` have the shapes those imply
+    (:func:`fc_shape`).  A missing entry, an unknown head code, a
+    non-integer M or N, a grid the trunk cannot take, or an ``fc`` entry
+    missing or of another shape raises WeightsFormatError naming ``path``."""
     from .io import WeightsFormatError
 
     for key in ("M", "N", "head_code"):
@@ -220,26 +233,32 @@ def check_weights_meta(path: str, meta: dict[str, float]) -> tuple[str, int, int
         raise WeightsFormatError(f"{path}: unknown head code {meta['head_code']}")
     try:
         M, N = int(meta["M"]), int(meta["N"])
+        if (M, N) != (meta["M"], meta["N"]):
+            raise ValueError(f"grid M={meta['M']:g} N={meta['N']:g} is not integer")
         check_geometry(M, N)
-    except (ValueError, OverflowError) as exc:
-        raise WeightsFormatError(f"{path}: {exc}") from exc
+        classes, feat = fc_shape(M, N, head)
+        _check_entry(table, "tensor", "fc.weight", (classes, feat))
+        _check_entry(table, "tensor", "fc.bias", (classes,))
+    except (KeyError, ValueError, OverflowError) as exc:
+        raise WeightsFormatError(f"{path}: {exc.args[0]}") from exc
     return head, M, N
 
 
 def load_model(path: str) -> tuple[SyncModel, dict[str, float]]:
     """Rebuild a classifier from a weights file; returns (model, metadata).
 
-    The tensor table and the ``meta.*`` scalars are read and checked first
+    The tensor table and the ``meta.*`` scalars are read and checked first,
+    the ``fc`` shapes included, before anything is allocated
     (:func:`~otfs_sync.nn.io.read_table`, :func:`check_weights_meta`).  A
-    zero net is then built for that head and grid, drawing nothing, and each
-    parameter and buffer is read from the file straight into its array, so
-    loading holds one copy of the weights."""
+    zero net is then built for that head and grid, drawing nothing, and
+    each parameter and buffer is read from the file straight into its
+    array, so loading holds one copy of the weights."""
     from .io import WeightsFormatError, read_into, read_metadata, read_table
 
     with open(path, "rb") as fh:
         table = read_table(fh, path)
         meta = read_metadata(fh, path, table)
-        head, M, N = check_weights_meta(path, meta)
+        head, M, N = check_weights_meta(path, meta, table)
         model = _build(M, N, head, None, np.float32)
         try:
             targets = model.state_targets(table)
@@ -270,8 +289,7 @@ def param_count(M: int, N: int, head: str) -> int:
         total += cout * cout * 3 + cout + 2 * cout         # conv3 + bn3
         if cin != cout:
             total += cout * cin + cout + 2 * cout          # shortcut conv1 + bn1
-    feat = TRUNK[-1][2] * (M * N // 8)
-    classes = head_classes(head, M, N)
+    classes, feat = fc_shape(M, N, head)
     total += classes * feat + classes
     return total
 
@@ -354,8 +372,7 @@ def flops_report(M: int, N: int, head: str) -> FlopsReport:
         rows.extend(_resblock_rows(name, cin, cout, L))
         L //= 2
         rows.append(FlopsRow(f"pool{i}", 0, TRUNK[i - 1][2] * L))
-    feat = TRUNK[-1][2] * L
-    classes = head_classes(head, M, N)
+    classes, feat = fc_shape(M, N, head)
     rows.append(FlopsRow("fc", feat * classes, classes))
     return FlopsReport(rows=tuple(rows))
 

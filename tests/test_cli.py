@@ -6,6 +6,7 @@ installed ``otfs-sync`` console script for the packaging contract.
 
 import io
 import json
+import re
 import shutil
 import struct
 import subprocess
@@ -14,7 +15,7 @@ import sys
 import numpy as np
 import pytest
 
-from otfs_sync.cli import main
+from otfs_sync.cli import build_parser, main
 
 TINY_CONFIG = {
     "frame": {"M": 8, "N": 4, "L_CP": 4},
@@ -132,8 +133,7 @@ class TestHappyPath:
         assert main([
             "eval", "--method", "resnet2stage",
             "--dataset", str(workdir["dataset"]),
-            "--weights", str(workdir["coarse"]),
-            "--fine-weights", str(workdir["fine"]),
+            "--weights", str(workdir["coarse"]), str(workdir["fine"]),
         ]) == 0
         out = capsys.readouterr().out
         lines = out.strip().split("\n")
@@ -154,8 +154,7 @@ class TestHappyPath:
         monkeypatch.setattr(cli_mod, "estimate_all", counting)
         monkeypatch.setattr(metrics_mod, "estimate_all", counting)
         argv = ["--dataset", str(workdir["dataset"]),
-                "--weights", str(workdir["coarse"]),
-                "--fine-weights", str(workdir["fine"])]
+                "--weights", str(workdir["coarse"]), str(workdir["fine"])]
         assert main(["eval", "--method", "resnet2stage", *argv]) == 0
         assert calls == ["resnet2stage"]
         eval_lines = capsys.readouterr().out.strip().split("\n")
@@ -181,13 +180,84 @@ class TestHappyPath:
         assert main([
             "sweep", "--methods", "crosscorr,autocorr2d,resnet2stage",
             "--dataset", str(workdir["dataset"]),
-            "--weights", str(workdir["coarse"]),
-            "--fine-weights", str(workdir["fine"]),
+            "--weights", str(workdir["coarse"]), str(workdir["fine"]),
             "--preamble-length", "16", "--preamble-root", "5",
         ]) == 0
         rows = capsys.readouterr().out.strip().split("\n")[1:]
         methods = {r.split(",")[0] for r in rows}
         assert methods == {"crosscorr", "autocorr2d", "resnet2stage"}
+
+    @pytest.mark.parametrize("command", [
+        ["eval", "--method", "resnet2stage"],
+        ["sweep", "--methods", "resnet1stage,resnet2stage"],
+    ])
+    def test_weights_come_in_any_order(self, workdir, capsys, command):
+        def csv_for(*heads):
+            assert main([*command, "--dataset", str(workdir["dataset"]),
+                         "--weights", *(str(workdir[h]) for h in heads)]) == 0
+            return capsys.readouterr().out
+
+        text = csv_for("coarse", "fine", "onestage")
+        assert text.startswith("method,channel_id") and "resnet2stage," in text
+        assert csv_for("onestage", "fine", "coarse") == text
+        assert csv_for("fine", "onestage", "coarse") == text
+
+    def test_complexity_times_every_head_it_is_given(self, workdir, capsys, monkeypatch):
+        import otfs_sync.metrics as metrics_mod
+
+        monkeypatch.setattr(metrics_mod, "MAX_TIMED_PARAMS", 0)  # build none of its own
+        def runtimes(*heads):
+            assert main(["complexity", "--config", str(workdir["config"]), "--repeats", "1",
+                         "--weights", *(str(workdir[h]) for h in heads)]) == 0
+            lines = capsys.readouterr().out.splitlines()[2:6]
+            return {line.split()[0]: line.split()[-1] for line in lines}
+
+        timed = runtimes("onestage")
+        assert timed["resnet1stage"] != "-" and timed["resnet2stage"] == "-"
+        timed = runtimes("fine", "coarse")
+        assert timed["resnet1stage"] == "-" and timed["resnet2stage"] != "-"
+
+    def test_complexity_times_the_config_preamble(self, tmp_path, capsys, monkeypatch):
+        # before: always zadoff_chu(length, 25), so root 3 at length 250 (not
+        # coprime with 25) was refused with exit 2
+        import otfs_sync.metrics as metrics_mod
+
+        built = []
+        original = metrics_mod.zadoff_chu
+
+        def recording(length, root):
+            built.append((length, root))
+            return original(length, root)
+
+        monkeypatch.setattr(metrics_mod, "zadoff_chu", recording)
+        cfg = tmp_path / "p250.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "frame": {"M": 32, "N": 8, "L_CP": 8},
+                                   "preamble": {"length": 250, "root": 3}}))
+        assert main(["complexity", "--config", str(cfg), "--repeats", "1"]) == 0
+        assert built == [(250, 3)]
+        crosscorr = [line for line in capsys.readouterr().out.splitlines()
+                     if line.startswith("crosscorr ")]
+        assert crosscorr[0].split()[1:3] == [f"{8 * 256 * 250:,}", "-"]
+        assert crosscorr[0].split()[3] != "-"
+
+    def test_readme_commands_parse(self):
+        # every otfs-sync line of the README's "Command line" block, with its
+        # backslash continuations joined, parses with the current options
+        import shlex
+        from pathlib import Path
+
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = re.search(r"## Command line\n\n```sh\n(.*?)```", readme, re.S).group(1)
+        commands = [line for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("otfs-sync ")]
+        assert {shlex.split(c)[1] for c in commands} >= {
+            "gen", "train", "eval", "sweep", "complexity", "info"}
+        parser = build_parser()
+        for command in commands:
+            try:
+                parser.parse_args(shlex.split(command)[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {command}")
 
     def test_complexity_table(self, workdir, capsys):
         assert main([
@@ -308,13 +378,52 @@ class TestExitCodes:
             "--epochs", "1",
         ]) == 2
 
-    def test_wrong_head_for_fine_weights_is_2(self, workdir):
+    def test_second_file_for_one_head_is_2(self, workdir, capsys):
         assert main([
             "eval", "--method", "resnet2stage",
             "--dataset", str(workdir["dataset"]),
-            "--weights", str(workdir["coarse"]),
-            "--fine-weights", str(workdir["coarse"]),
+            "--weights", str(workdir["coarse"]), str(workdir["fine"]), str(workdir["coarse"]),
         ]) == 2
+        assert "holds a second coarse model" in capsys.readouterr().err
+
+    def test_model_for_another_grid_is_2(self, workdir, tmp_path, capsys):
+        from otfs_sync.nn.model import build_sync_model, save_model
+
+        wide = tmp_path / "wide.otfsnn"
+        save_model(str(wide), build_sync_model(16, 4, "coarse"))
+        for argv in (
+            ["eval", "--method", "resnet2stage", "--dataset", str(workdir["dataset"]),
+             "--weights", str(workdir["fine"]), str(wide)],
+            ["complexity", "--M", "8", "--N", "4", "--no-runtime", "--weights", str(wide)],
+            ["train", "--stage", "fine", "--dataset", str(workdir["dataset"]),
+             "--coarse-weights", str(wide), "--out-weights", str(tmp_path / "f.otfsnn")],
+        ):
+            assert main(argv) == 2, argv
+            assert "holds a 16x4 model, expected 8x4" in capsys.readouterr().err
+        assert not (tmp_path / "f.otfsnn").exists()
+
+    def test_fine_training_from_a_fine_model_is_2(self, workdir, tmp_path, capsys):
+        assert main(["train", "--stage", "fine", "--dataset", str(workdir["dataset"]),
+                     "--coarse-weights", str(workdir["fine"]),
+                     "--out-weights", str(tmp_path / "f.otfsnn")]) == 2
+        assert "does not hold a coarse model" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method,heads,missing", [
+        ("resnet2stage", ["coarse", "onestage"], "coarse and fine"),
+        ("resnet2stage", ["fine"], "coarse and fine"),
+        ("resnet1stage", ["coarse", "fine"], "onestage"),
+    ])
+    def test_method_missing_a_head_is_2_before_estimating(self, workdir, capsys, monkeypatch,
+                                                         method, heads, missing):
+        import otfs_sync.cli as cli_mod
+
+        calls = []
+        monkeypatch.setattr(cli_mod, "estimate_all", lambda *args, **kw: calls.append(args))
+        assert main(["sweep", "--methods", f"autocorr2d,{method}",
+                     "--dataset", str(workdir["dataset"]),
+                     "--weights", *(str(workdir[h]) for h in heads)]) == 2
+        assert calls == []
+        assert f"{method} needs {missing} weights" in capsys.readouterr().err
 
     def test_unknown_sweep_method_is_2(self, workdir):
         assert main([
@@ -326,8 +435,7 @@ class TestExitCodes:
         assert main([
             "eval", "--method", "resnet2stage",
             "--dataset", str(workdir["dataset"]),
-            "--weights", str(workdir["root"] / "ghost.otfsnn"),
-            "--fine-weights", str(workdir["fine"]),
+            "--weights", str(workdir["root"] / "ghost.otfsnn"), str(workdir["fine"]),
         ]) == 4
 
     def test_weights_not_fitting_their_metadata_is_3(self, workdir, capsys):
@@ -361,7 +469,7 @@ class TestExitCodes:
         assert main([
             "eval", "--method", "resnet2stage",
             "--dataset", str(workdir["dataset"]),
-            "--weights", str(path), "--fine-weights", str(workdir["fine"]),
+            "--weights", str(path), str(workdir["fine"]),
         ]) == 3
         err = capsys.readouterr().err
         assert "data format error" in err and "running_var" in err
@@ -379,11 +487,60 @@ class TestExitCodes:
         save_tensors(str(path), tensors)
         argv = {"eval": ["eval", "--method", "resnet2stage",
                          "--dataset", str(workdir["dataset"]),
-                         "--weights", str(path), "--fine-weights", str(path)],
+                         "--weights", str(path), str(path)],
                 "info": ["info", "--weights", str(path)]}[command]
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert "data format error" in err and "M*N=15" in err
+
+    @pytest.mark.parametrize("command", ["eval", "info"])
+    def test_non_integer_weights_geometry_is_3(self, workdir, tmp_path, capsys, command):
+        # before: meta.M = 8.5 loaded as an 8-row model
+        from otfs_sync.nn.io import save_tensors
+        from otfs_sync.nn.model import HEAD_CODES, build_sync_model
+
+        path = tmp_path / "halfrow.otfsnn"
+        tensors = dict(build_sync_model(8, 4, "coarse").state_dict())
+        tensors.update({"meta.M": np.float32(8.5), "meta.N": np.float32(4),
+                        "meta.head_code": np.float32(HEAD_CODES["coarse"])})
+        save_tensors(str(path), tensors)
+        argv = {"eval": ["eval", "--method", "resnet2stage",
+                         "--dataset", str(workdir["dataset"]),
+                         "--weights", str(path), str(workdir["fine"])],
+                "info": ["info", "--weights", str(path)]}[command]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "data format error" in err and "M=8.5 N=4 is not integer" in err
+
+    def test_metadata_naming_a_larger_grid_is_3_before_building(self, workdir, tmp_path,
+                                                                capsys):
+        # a 32x8 coarse file whose metadata says 256x256: before, load_model
+        # built the 256x256 net (134 MB of fc.weight) before comparing a shape
+        import tracemalloc
+
+        from otfs_sync.nn.io import save_tensors
+        from otfs_sync.nn.model import HEAD_CODES, build_sync_model
+
+        path = tmp_path / "bigmeta.otfsnn"
+        tensors = dict(build_sync_model(32, 8, "coarse").state_dict())
+        tensors.update({"meta.M": np.float32(256), "meta.N": np.float32(256),
+                        "meta.head_code": np.float32(HEAD_CODES["coarse"])})
+        save_tensors(str(path), tensors)
+        tracemalloc.start()
+        try:
+            code = main(["eval", "--method", "resnet2stage",
+                         "--dataset", str(workdir["dataset"]), "--weights", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert peak < 5 << 20, peak
+        err = capsys.readouterr().err
+        assert "data format error" in err
+        assert "'fc.weight' has shape (8, 512), model expects (256, 131072)" in err
+        # before: info printed "geometry M=256 N=256" and exited 0
+        assert main(["info", "--weights", str(path)]) == 3
+        assert "model expects (256, 131072)" in capsys.readouterr().err
 
     def test_info_needs_exactly_one_input_is_2(self, workdir):
         assert main(["info"]) == 2
@@ -444,6 +601,7 @@ class TestExitCodes:
         ["--M", "0", "--N", "8", "--no-runtime"],    # an all-zero table, exit 0
         ["--M", "8", "--N", "0", "--no-runtime"],
         ["--M", "-32", "--no-runtime"],              # negative dimensions: exit 4
+        ["--M", "8", "--N", "4", "--repeats", "1"],  # a 256-sample preamble: exit 4
     ])
     def test_bad_complexity_option_is_2(self, capsys, extra):
         assert main(["complexity", *extra]) == 2
@@ -513,7 +671,6 @@ class TestExitCodes:
         assert main([
             "eval", "--method", "resnet2stage",
             "--dataset", str(workdir["dataset"]),
-            "--weights", str(workdir["coarse"]),
-            "--fine-weights", str(workdir["fine"]),
+            "--weights", str(workdir["coarse"]), str(workdir["fine"]),
         ]) == 4
         assert "ValueError: numerical failure" in capsys.readouterr().err

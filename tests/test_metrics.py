@@ -70,6 +70,7 @@ class TestErrorMath:
 
     def test_method_names(self):
         assert METHODS == ("crosscorr", "autocorr2d", "resnet2stage", "resnet1stage")
+        assert METHODS == tuple(metrics.METHOD_HEADS)
 
 
 class TestEstimateAll:
@@ -90,8 +91,10 @@ class TestEstimateAll:
 
     def test_missing_models_raise(self):
         ds = _dataset(samples=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="resnet2stage needs coarse and fine weights"):
             estimate_all(ds, "resnet2stage", SweepModels())
+        with pytest.raises(ValueError, match="resnet1stage needs onestage weights"):
+            estimate_all(ds, "resnet1stage", SweepModels(coarse=build_sync_model(8, 4, "coarse")))
         with pytest.raises(ValueError):
             estimate_all(ds, "crosscorr", SweepModels())
         with pytest.raises(ValueError):
@@ -278,7 +281,7 @@ class TestSweep:
 class TestComplexity:
     def test_analytic_columns(self):
         frame = toy_frame_config()
-        rows = complexity_report(frame.M, frame.N, preamble_len=64,
+        rows = complexity_report(frame.M, frame.N, preamble=PreambleConfig(64),
                                  measure_runtime=False)
         by_method = {r.method: r for r in rows}
         assert set(by_method) == set(METHODS)
@@ -295,7 +298,7 @@ class TestComplexity:
         assert all(r.runtime_s is None for r in rows)
 
     def test_runtime_measured_when_asked(self):
-        rows = complexity_report(8, 4, preamble_len=16, repeats=3,
+        rows = complexity_report(8, 4, preamble=PreambleConfig(16), repeats=3,
                                  measure_runtime=True)
         assert all(r.runtime_s is not None and r.runtime_s >= 0 for r in rows)
 
@@ -304,11 +307,11 @@ class TestComplexity:
         fine = build_sync_model(8, 4, "fine")
         one = build_sync_model(8, 4, "onestage")
         models = SweepModels(coarse=coarse, fine=fine, onestage=one)
-        rows = complexity_report(8, 4, preamble_len=16, models=models, repeats=2)
+        rows = complexity_report(8, 4, preamble=PreambleConfig(16), models=models, repeats=2)
         assert {r.method for r in rows} == set(METHODS)
 
     def test_csv_shape(self):
-        rows = complexity_report(8, 4, preamble_len=16, measure_runtime=False)
+        rows = complexity_report(8, 4, preamble=PreambleConfig(16), measure_runtime=False)
         lines = complexity_csv(rows).strip().split("\n")
         assert lines[0] == "method,flops,params,runtime_s"
         assert len(lines) == 5
@@ -348,7 +351,7 @@ class TestComplexity:
     def test_passed_head_is_timed_whatever_its_size(self, monkeypatch):
         monkeypatch.setattr(metrics, "MAX_TIMED_PARAMS", 0)
         models = SweepModels(onestage=build_sync_model(8, 4, "onestage"))
-        rows = complexity_report(8, 4, preamble_len=16, models=models, repeats=1)
+        rows = complexity_report(8, 4, preamble=PreambleConfig(16), models=models, repeats=1)
         by_method = {r.method: r for r in rows}
         assert by_method["resnet1stage"].runtime_s is not None
         assert by_method["resnet2stage"].runtime_s is None

@@ -396,6 +396,33 @@ class TestWeightsFile:
         with pytest.raises(WeightsFormatError, match="missing.otfsnn: .*'fc.bias'"):
             load_model(str(missing))
 
+    def test_load_model_rejects_a_non_integer_grid(self, tmp_path):
+        # before: meta.M = 32.5 loaded as a 32-row model
+        tensors = dict(build_sync_model(32, 8, "coarse").state_dict())
+        tensors.update({"meta.M": np.float32(32.5), "meta.N": np.float32(8),
+                        "meta.head_code": np.float32(HEAD_CODES["coarse"])})
+        path = tmp_path / "frac.otfsnn"
+        save_tensors(str(path), tensors)
+        with pytest.raises(WeightsFormatError, match="frac.otfsnn: grid M=32.5 N=8 is not"):
+            load_model(str(path))
+
+    def test_load_model_checks_the_fc_shapes_before_building(self, tmp_path, monkeypatch):
+        # the fc tensors are the only ones whose shapes follow meta.M, meta.N
+        # and the head, so a misfit is found before any net is built
+        from otfs_sync.nn import model as model_mod
+
+        state = build_sync_model(8, 4, "coarse").state_dict()
+        meta = {"meta.M": np.float32(8), "meta.N": np.float32(4),
+                "meta.head_code": np.float32(HEAD_CODES["fine"])}
+        path = tmp_path / "head.otfsnn"
+        save_tensors(str(path), {**state, **meta})
+        built = []
+        monkeypatch.setattr(model_mod, "_build", lambda *args: built.append(args))
+        with pytest.raises(WeightsFormatError,
+                           match=r"'fc.weight' has shape \(4, 64\), model expects \(8, 64\)"):
+            load_model(str(path))
+        assert built == []
+
     def test_load_state_shape_mismatch(self, tmp_path):
         small = build_sync_model(8, 4, "coarse")
         big = build_sync_model(16, 4, "coarse")
