@@ -39,12 +39,10 @@ from .dataset import (
     synthesize_capture,
     write_dataset,
 )
-from .estimate import SyncEstimate, combine_offset, decompose_offset
 from .frames import (
     DEFAULT_SAMPLE_RATE_HZ,
     FrameConfig,
     PilotConfig,
-    TimeSignal,
     build_dd_frame,
     dd_to_dt,
     deserialize_time,

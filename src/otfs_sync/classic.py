@@ -8,9 +8,9 @@ Two estimators operate on a captured window of ``M*N`` complex samples:
 * :func:`cross_correlate_sync` matched-filters a known constant-amplitude
   preamble against the window, cyclically.
 
-Both report a :class:`~otfs_sync.estimate.SyncEstimate`; analytic complexity
-counters for each are exposed alongside so cost comparisons never depend on
-how the surfaces happen to be vectorized.
+Both return the wrapped offset theta in ``[0, M*N)`` as an int; analytic
+complexity counters for each are exposed alongside so cost comparisons never
+depend on how the surfaces happen to be vectorized.
 
 :func:`autocorr2d` works on the time-major rows of the window (row n is
 time slot n, M contiguous samples) and returns the surface as the (M, N)
@@ -30,8 +30,6 @@ the per-window functions.
 from __future__ import annotations
 
 import numpy as np
-
-from .estimate import SyncEstimate, combine_offset, decompose_offset
 
 # complex128 bytes one chunk of stacked matched-filter windows may span
 CHUNK_BYTES = 2 * 1024 * 1024
@@ -88,30 +86,20 @@ def autocorr2d(window: np.ndarray, M: int, N: int) -> np.ndarray:
     return pt.T
 
 
-def autocorr2d_sync(window: np.ndarray, M: int, N: int, m_p: int) -> SyncEstimate:
-    """Pilot-row detection on the autocorrelation surface.
+def autocorr2d_sync(window: np.ndarray, M: int, N: int, m_p: int) -> int:
+    """Wrapped offset from pilot-row detection on the autocorrelation surface.
 
     The pilot row of the transmitted grid shows up in a late-captured window
     shifted from ``m_p`` to ``(m_p - theta_d) mod M``, so the delay estimate
     inverts that: ``theta_d = (m_p - m*) mod M`` where ``m*`` maximizes the
     row-wise magnitude mass of P.  The time estimate takes the column
-    maximizing ``Re P[m*, n]``; ties resolve to the lowest index, and a
-    completely flat surface is flagged as ambiguous.
+    maximizing ``Re P[m*, n]``; ties resolve to the lowest index.  Returns
+    ``theta_d + M * theta_t``.
     """
     P = autocorr2d(window, M, N)
-    row_scores = np.abs(P.T).sum(axis=0)
-    ambiguous = bool(np.all(row_scores == row_scores[0]))
-    m_star = int(np.argmax(row_scores))
-    theta_d = (m_p - m_star) % M
-    col_scores = np.real(P[m_star, :])
-    theta_t = int(np.argmax(col_scores))
-    return SyncEstimate(
-        method="autocorr2d",
-        theta_hat=combine_offset(theta_d, theta_t, M),
-        theta_d_hat=theta_d,
-        theta_t_hat=theta_t,
-        ambiguous=ambiguous,
-    )
+    m_star = int(np.argmax(np.abs(P.T).sum(axis=0)))
+    theta_t = int(np.argmax(np.real(P[m_star, :])))
+    return (m_p - m_star) % M + M * theta_t
 
 
 def preamble_spectrum(preamble: np.ndarray, L: int) -> np.ndarray:
@@ -149,31 +137,18 @@ def cross_correlation_surface(
 def cross_correlate_sync(
     window: np.ndarray,
     preamble: np.ndarray,
-    M: int,
     preamble_offset: int = 0,
-) -> SyncEstimate:
-    """Timing from the preamble matched filter.
+) -> int:
+    """Wrapped offset from the preamble matched filter.
 
     ``preamble_offset`` is where the preamble is known to sit relative to the
     position that defines offset zero (payload start); captures built with a
     preamble immediately ahead of the CP use ``-(L_seq + L_CP)``.  With the
     default 0, a window that IS the preamble yields an estimate of 0.  Peak
-    ties resolve toward the smallest lag.  ``M`` is the delay-axis length
-    used to decompose the wrapped estimate.
+    ties resolve toward the smallest lag.
     """
     c = cross_correlation_surface(window, preamble)
-    L = c.size
-    tau_star = int(np.argmax(c))
-    ambiguous = bool(np.all(c == c[0]))
-    theta_hat = (preamble_offset - tau_star) % L
-    theta_d, theta_t = decompose_offset(theta_hat, M)
-    return SyncEstimate(
-        method="crosscorr",
-        theta_hat=theta_hat,
-        theta_d_hat=theta_d,
-        theta_t_hat=theta_t,
-        ambiguous=ambiguous,
-    )
+    return (preamble_offset - int(np.argmax(c))) % c.size
 
 
 def crosscorr_offsets(
@@ -181,7 +156,7 @@ def crosscorr_offsets(
     preamble: np.ndarray,
     preamble_offset: int = 0,
 ) -> np.ndarray:
-    """Wrapped ``theta_hat`` of :func:`cross_correlate_sync` for every window
+    """The wrapped offset of :func:`cross_correlate_sync` for every window
     of an ``(n, 2, L)`` stack of real/imaginary float planes, as int64.
 
     Windows are converted and filtered ``max(1, CHUNK_BYTES // (16 L))`` at a

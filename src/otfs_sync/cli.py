@@ -38,8 +38,8 @@ from .metrics import (
     snrs_on_grid,
     sweep,
 )
-from .nn.io import WeightsFormatError, read_metadata, read_table
-from .nn.model import HEADS, check_weights_meta, load_model
+from .nn.io import WeightsFormatError
+from .nn.model import HEADS, load_model, read_weights_header
 from .pipeline import TrainHyper, save_training_result, train_coarse, train_fine, train_one_stage
 
 
@@ -72,19 +72,21 @@ def _preamble(length: int, root: int) -> np.ndarray:
         raise ConfigError(str(exc)) from exc
 
 
-def _load_heads(paths: list[str], grid: tuple[int, int]) -> dict:
-    """Load each weights file once, keyed by the head its metadata names.
-    A second file for one head, or a model built for another grid than the
-    M x N ``grid``, is a configuration error."""
+def _load_heads(paths: list[str], grid: tuple[int, int], load: bool = True) -> dict:
+    """Each weights file's model, keyed by the head its metadata names, or
+    None with ``load`` False.  Every file's header (its table and ``meta.*``
+    scalars) is checked before it is loaded: a second file for one head, or
+    a model for another grid than the M x N ``grid``, is a configuration
+    error."""
     models = {}
     for path in paths:
-        model, _ = load_model(path)
-        if model.head in models:
-            raise ConfigError(f"{path} holds a second {model.head} model")
-        if (model.M, model.N) != grid:
-            raise ConfigError(f"{path} holds a {model.M}x{model.N} model, "
-                              f"expected {grid[0]}x{grid[1]}")
-        models[model.head] = model
+        with open(path, "rb") as fh:
+            head, M, N, _, _ = read_weights_header(fh, path)
+        if head in models:
+            raise ConfigError(f"{path} holds a second {head} model")
+        if (M, N) != grid:
+            raise ConfigError(f"{path} holds a {M}x{N} model, expected {grid[0]}x{grid[1]}")
+        models[head] = load_model(path)[0] if load else None
     return models
 
 
@@ -215,7 +217,8 @@ def _cmd_complexity(args: argparse.Namespace) -> int:
                               f"within the {M * N}-sample window")
         if M * N % 8:
             raise ConfigError(f"timing the classifiers needs M*N divisible by 8, got {M}x{N}")
-    models = SweepModels(**_load_heads(args.weights, (M, N)))
+    # with no runtime measured no head runs, so no tensor data is read
+    models = SweepModels(**_load_heads(args.weights, (M, N), load=not args.no_runtime))
     rows = complexity_report(
         M, N, preamble=preamble, pilot_row=pilot_row,
         models=models, repeats=args.repeats,
@@ -243,9 +246,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
     else:
         # the table and the meta.* scalars only: no tensor data is read
         with open(args.weights, "rb") as fh:
-            table = read_table(fh, args.weights)
-            meta = read_metadata(fh, args.weights, table)
-        head, M, N = check_weights_meta(args.weights, meta, table)
+            head, M, N, table, meta = read_weights_header(fh, args.weights)
         print(f"weights {args.weights}")
         print(f"  head     {head}")
         print(f"  geometry M={M} N={N}")

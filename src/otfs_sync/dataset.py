@@ -396,7 +396,7 @@ def save_dataset(ds: Dataset, path: str) -> None:
 
 
 def read_dataset(path: str) -> Dataset:
-    """Load a dataset file, validating magic, version, and length.
+    """Load a dataset file, validating magic, version, grid, and length.
 
     The body is read straight into one record array, so a read allocates the
     dataset once, not the file bytes plus a copy of them."""
@@ -409,7 +409,14 @@ def read_dataset(path: str) -> Dataset:
             raise DataFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
         if version not in READABLE_VERSIONS:
             raise DataFormatError(f"{path}: unsupported format version {version}")
-        dtype = record_dtype(M * N)
+        if not (M >= 1 and N >= 1 and L_CP < M * N):
+            raise DataFormatError(f"{path}: header grid M={M} N={N} L_CP={L_CP} needs "
+                                  "M, N >= 1 and L_CP < M*N")
+        try:
+            dtype = record_dtype(M * N)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: no record can hold a {M}x{N} window: "
+                                  f"{exc}") from exc
         found = os.fstat(fh.fileno()).st_size - _HEADER.size
         if found != count * dtype.itemsize:
             raise DataFormatError(

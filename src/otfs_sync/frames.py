@@ -8,7 +8,8 @@ Grid conventions used throughout the package:
   delay ``m``, columns by time slot ``n``;
 * serialization is column-major: sample ``n*M + m`` of the payload carries
   DT cell ``(m, n)``, and a single cyclic prefix of ``L_CP`` samples (the
-  payload tail) is prepended per block.
+  payload tail) is prepended per block, and :func:`serialize_time` returns
+  the serial block as a plain complex array.
 
 The DD -> DT map is a unitary inverse DFT along the Doppler axis,
 
@@ -120,14 +121,6 @@ class PilotConfig:
         return (self.m_p + np.arange(-k, k + 1)) % M
 
 
-@dataclass(frozen=True)
-class TimeSignal:
-    """A serial complex baseband sample stream with its sample rate."""
-
-    samples: np.ndarray
-    sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ
-
-
 def psk_constellation(order: int) -> np.ndarray:
     """Unit-average-power phase constellation of the given order.
 
@@ -186,11 +179,7 @@ def dt_to_dd(grid_dt: np.ndarray) -> np.ndarray:
     return np.fft.fft(grid_dt, axis=-1, norm="ortho")
 
 
-def serialize_time(
-    grid_dt: np.ndarray,
-    frame: FrameConfig,
-    sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ,
-) -> TimeSignal:
+def serialize_time(grid_dt: np.ndarray, frame: FrameConfig) -> np.ndarray:
     """Column-major readout of a DT grid with a single prepended cyclic prefix.
 
     Payload sample ``n*M + m`` is ``grid_dt[m, n]``; the last ``L_CP`` payload
@@ -200,16 +189,12 @@ def serialize_time(
     if (M, N) != (frame.M, frame.N):
         raise ValueError(f"grid is {M}x{N}, expected {frame.M}x{frame.N}")
     payload = grid_dt.ravel(order="F")
-    if frame.L_CP:
-        samples = np.concatenate([payload[-frame.L_CP:], payload])
-    else:
-        samples = payload.copy()
-    return TimeSignal(samples=samples, sample_rate_hz=sample_rate_hz)
+    return np.concatenate([payload[payload.size - frame.L_CP:], payload])
 
 
-def deserialize_time(signal: TimeSignal | np.ndarray, frame: FrameConfig) -> np.ndarray:
+def deserialize_time(signal: np.ndarray, frame: FrameConfig) -> np.ndarray:
     """Rebuild the M x N DT grid from a serial block, stripping the CP if present."""
-    x = signal.samples if isinstance(signal, TimeSignal) else np.asarray(signal)
+    x = np.asarray(signal)
     if x.ndim != 1:
         raise ValueError(f"serial signal must be 1-D, got shape {x.shape}")
     if x.size == frame.block_len:

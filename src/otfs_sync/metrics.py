@@ -119,8 +119,7 @@ def estimate_all(ds: Dataset, method: str, models: SweepModels,
             raise ValueError("autocorr2d needs the pilot delay row (pilot_row)")
         out = np.empty(len(ds), dtype=np.int64)
         for i in range(len(ds)):
-            est = autocorr2d_sync(planes_to_complex(ds.windows[i]), ds.M, ds.N, m_p)
-            out[i] = est.theta_hat
+            out[i] = autocorr2d_sync(planes_to_complex(ds.windows[i]), ds.M, ds.N, m_p)
         return out
     if method == "crosscorr":
         if models.preamble is None:
@@ -304,7 +303,7 @@ def complexity_report(
         ("resnet1stage", count_flops(M, N, "onestage"), param_count(M, N, "onestage"),
          None if onestage is None else lambda: onestage.predict_classes(win_planes, 1)),
         ("crosscorr", 8 * crosscorr_macs(MN, preamble.length), None,
-         lambda: cross_correlate_sync(win_complex, sequence, M)),
+         lambda: cross_correlate_sync(win_complex, sequence)),
         ("autocorr2d", 8 * autocorr2d_macs(M, N), None,
          lambda: autocorr2d_sync(win_complex, M, N, pilot_row)),
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from typing import BinaryIO
 
 import numpy as np
 
@@ -216,15 +217,18 @@ def save_model(path: str, model: SyncModel, metadata: dict[str, float] | None = 
     save_tensors(path, tensors)
 
 
-def check_weights_meta(path: str, meta: dict[str, float],
-                       table: Mapping) -> tuple[str, int, int]:
-    """The (head, M, N) a weights file's metadata names, once the ``fc``
-    entries of its tensor ``table`` have the shapes those imply
-    (:func:`fc_shape`).  A missing entry, an unknown head code, a
-    non-integer M or N, a grid the trunk cannot take, or an ``fc`` entry
-    missing or of another shape raises WeightsFormatError naming ``path``."""
-    from .io import WeightsFormatError
+def read_weights_header(fh: BinaryIO, path: str) -> tuple[str, int, int, dict, dict]:
+    """(head, M, N, tensor table, ``meta.*`` scalars) of the open weights
+    file ``fh``, once the ``fc`` entries of its table
+    (:func:`~otfs_sync.nn.io.read_table`) have the shapes that head and grid
+    imply (:func:`fc_shape`); no other tensor data is read.  A format fault,
+    a missing entry, an unknown head code, a non-integer M or N, a grid the
+    trunk cannot take, or an ``fc`` entry missing or of another shape
+    raises WeightsFormatError naming ``path``."""
+    from .io import WeightsFormatError, read_metadata, read_table
 
+    table = read_table(fh, path)
+    meta = read_metadata(fh, path, table)
     for key in ("M", "N", "head_code"):
         if key not in meta:
             raise WeightsFormatError(f"{path}: missing meta.{key} entry")
@@ -241,7 +245,7 @@ def check_weights_meta(path: str, meta: dict[str, float],
         _check_entry(table, "tensor", "fc.bias", (classes,))
     except (KeyError, ValueError, OverflowError) as exc:
         raise WeightsFormatError(f"{path}: {exc.args[0]}") from exc
-    return head, M, N
+    return head, M, N, table, meta
 
 
 def load_model(path: str) -> tuple[SyncModel, dict[str, float]]:
@@ -249,16 +253,14 @@ def load_model(path: str) -> tuple[SyncModel, dict[str, float]]:
 
     The tensor table and the ``meta.*`` scalars are read and checked first,
     the ``fc`` shapes included, before anything is allocated
-    (:func:`~otfs_sync.nn.io.read_table`, :func:`check_weights_meta`).  A
+    (:func:`read_weights_header`).  A
     zero net is then built for that head and grid, drawing nothing, and
     each parameter and buffer is read from the file straight into its
     array, so loading holds one copy of the weights."""
-    from .io import WeightsFormatError, read_into, read_metadata, read_table
+    from .io import WeightsFormatError, read_into
 
     with open(path, "rb") as fh:
-        table = read_table(fh, path)
-        meta = read_metadata(fh, path, table)
-        head, M, N = check_weights_meta(path, meta, table)
+        head, M, N, table, meta = read_weights_header(fh, path)
         model = _build(M, N, head, None, np.float32)
         try:
             targets = model.state_targets(table)

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset
-from .estimate import SyncEstimate
 from .nn.loss import softmax_cross_entropy
 from .nn.model import SyncModel, build_sync_model, save_model
 from .nn.optim import AdamW
@@ -271,15 +270,9 @@ def infer_two_stage(
     return d_hat + M * t_hat
 
 
-def infer(window: np.ndarray, coarse: SyncModel, fine: SyncModel) -> SyncEstimate:
-    """Single-capture coarse-then-fine estimate."""
-    theta = int(infer_two_stage(window[None, ...], coarse, fine)[0])
-    return SyncEstimate(
-        method="resnet2stage",
-        theta_hat=theta,
-        theta_d_hat=theta % coarse.M,
-        theta_t_hat=theta // coarse.M,
-    )
+def infer(window: np.ndarray, coarse: SyncModel, fine: SyncModel) -> int:
+    """Single-capture coarse-then-fine wrapped-offset estimate."""
+    return int(infer_two_stage(window[None, ...], coarse, fine)[0])
 
 
 def infer_one_stage(windows: np.ndarray, model: SyncModel, batch_size: int = 256) -> np.ndarray:

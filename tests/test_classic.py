@@ -17,7 +17,6 @@ from otfs_sync.classic import (
 )
 from otfs_sync.dataset import DatasetConfig, PreambleConfig, per_record_rng, synthesize_capture
 from otfs_sync.channel import AWGN_PROFILE
-from otfs_sync.estimate import combine_offset
 from otfs_sync.frames import FrameConfig, PilotConfig, toy_frame_config, zadoff_chu
 
 
@@ -49,11 +48,11 @@ def autocorr2d_closed_form(window, M, N):
 
 
 def autocorr2d_closed_form_theta(window, M, N, m_p):
-    """``theta_hat`` of the autocorr2d decision rule on the closed-form surface."""
+    """The wrapped offset of the autocorr2d decision rule on the closed-form surface."""
     P = autocorr2d_closed_form(window, M, N)
     m_star = int(np.argmax(np.sum(np.abs(P), axis=1)))
     theta_t = int(np.argmax(np.real(P[m_star, :])))
-    return combine_offset((m_p - m_star) % M, theta_t, M)
+    return (m_p - m_star) % M + M * theta_t
 
 
 def crosscorr_oracle(window, preamble):
@@ -149,24 +148,20 @@ class TestAutocorrTimeMajor:
         for theta in (-100, -37, -1, 0, 5, 17, 90):
             w = _noiseless_capture(frame, theta, seed=21)
             est = autocorr2d_sync(w, frame.M, frame.N, m_p=frame.M // 2)
-            assert est.theta_hat == autocorr2d_closed_form_theta(w, frame.M, frame.N, frame.M // 2)
+            assert est == autocorr2d_closed_form_theta(w, frame.M, frame.N, frame.M // 2)
 
 
 class TestAutocorrSync:
     def test_aligned_capture_gives_zero(self):
         frame = toy_frame_config()
         w = _noiseless_capture(frame, 0)
-        est = autocorr2d_sync(w, frame.M, frame.N, m_p=frame.M // 2)
-        assert est.theta_hat == 0
-        assert est.theta_d_hat == 0 and est.theta_t_hat == 0
-        assert not est.ambiguous
-        assert est.method == "autocorr2d"
+        assert autocorr2d_sync(w, frame.M, frame.N, m_p=frame.M // 2) == 0
 
     def test_delay_only_offset_recovered(self):
         frame = toy_frame_config()
         w = _noiseless_capture(frame, 5)
         est = autocorr2d_sync(w, frame.M, frame.N, m_p=frame.M // 2)
-        assert est.theta_d_hat == 5
+        assert est % frame.M == 5
 
     @pytest.mark.parametrize("theta_d", list(range(32)))
     def test_exhaustive_delay_component(self, theta_d):
@@ -174,29 +169,26 @@ class TestAutocorrSync:
         frame = toy_frame_config()
         w = _noiseless_capture(frame, theta_d, seed=9)
         est = autocorr2d_sync(w, frame.M, frame.N, m_p=frame.M // 2)
-        assert est.theta_d_hat == theta_d, f"theta_d {theta_d} -> {est.theta_d_hat}"
+        assert est % frame.M == theta_d, f"theta_d {theta_d} -> {est % frame.M}"
 
     def test_global_phase_invariance(self):
         frame = toy_frame_config()
         w = _noiseless_capture(frame, -37)
         a = autocorr2d_sync(w, frame.M, frame.N, m_p=frame.M // 2)
         b = autocorr2d_sync(w * np.exp(1j * 1.234), frame.M, frame.N, m_p=frame.M // 2)
-        assert (a.theta_hat, a.theta_d_hat, a.theta_t_hat) == (b.theta_hat, b.theta_d_hat, b.theta_t_hat)
+        assert a == b
 
-    def test_zero_window_flags_ambiguous(self):
+    def test_zero_window_ties_to_lowest_index(self):
         # flat surface: ties resolve to row 0, which the recovery formula maps
-        # back to the pilot row index
-        est = autocorr2d_sync(np.zeros(256, dtype=complex), 32, 8, m_p=16)
-        assert est.ambiguous
-        assert est.theta_d_hat == 16 and est.theta_t_hat == 0
-        assert est.theta_hat == est.theta_d_hat + 32 * est.theta_t_hat
+        # back to the pilot row index, and to column 0
+        assert autocorr2d_sync(np.zeros(256, dtype=complex), 32, 8, m_p=16) == 16
 
-    def test_estimate_components_consistent(self):
+    def test_returns_a_wrapped_int(self):
         frame = toy_frame_config()
         for theta in (-100, -1, 0, 17, 90):
             w = _noiseless_capture(frame, theta, seed=13)
             est = autocorr2d_sync(w, frame.M, frame.N, m_p=frame.M // 2)
-            assert est.theta_hat == est.theta_d_hat + frame.M * est.theta_t_hat
+            assert type(est) is int and 0 <= est < frame.grid_size
 
 
 class TestCrossCorrelation:
@@ -212,9 +204,7 @@ class TestCrossCorrelation:
 
     def test_window_equal_to_preamble(self):
         p = zadoff_chu(256, 25)
-        est = cross_correlate_sync(p.copy(), p, M=32)
-        assert est.theta_hat == 0
-        assert est.method == "crosscorr"
+        assert cross_correlate_sync(p.copy(), p) == 0
 
     def test_planted_preamble_peak_location(self):
         p = zadoff_chu(64, 5)
@@ -223,8 +213,7 @@ class TestCrossCorrelation:
         surface = cross_correlation_surface(w, p)
         assert int(np.argmax(surface)) == 100
         assert surface[100] == pytest.approx(64.0)
-        est = cross_correlate_sync(w, p, M=16, preamble_offset=100)
-        assert est.theta_hat == 0
+        assert cross_correlate_sync(w, p, preamble_offset=100) == 0
 
     def test_offset_mapping(self):
         # preamble planted 3 samples before the nominal anchor -> estimate 3
@@ -234,22 +223,19 @@ class TestCrossCorrelation:
         w = np.zeros(L, dtype=complex)
         start = anchor - 3
         w[start:start + 32] = p
-        est = cross_correlate_sync(w, p, M=8, preamble_offset=anchor)
-        assert est.theta_hat == 3
-        assert est.theta_d_hat + 8 * est.theta_t_hat == 3
+        assert cross_correlate_sync(w, p, preamble_offset=anchor) == 3
 
-    def test_zero_window_flags_ambiguous(self):
+    def test_zero_window_ties_to_lowest_index(self):
         p = zadoff_chu(16, 3)
-        est = cross_correlate_sync(np.zeros(64, dtype=complex), p, M=8)
-        assert est.ambiguous and est.theta_hat == 0
+        est = cross_correlate_sync(np.zeros(64, dtype=complex), p)
+        assert type(est) is int and est == 0
 
     def test_noise_robust_at_high_snr(self):
         rng = _rng(17)
         p = zadoff_chu(64, 5)
         w = 0.01 * (rng.standard_normal(512) + 1j * rng.standard_normal(512))
         w[200:264] += p
-        est = cross_correlate_sync(w, p, M=16, preamble_offset=200)
-        assert est.theta_hat == 0
+        assert cross_correlate_sync(w, p, preamble_offset=200) == 0
 
 
 class TestStackedCrossCorrelation:
@@ -271,7 +257,7 @@ class TestStackedCrossCorrelation:
         assert stacked.shape == (13, MN)
         for i in range(13):
             assert np.array_equal(stacked[i], cross_correlation_surface(windows[i], p)), i
-        want = [cross_correlate_sync(w, p, frame.M, offset).theta_hat for w in windows]
+        want = [cross_correlate_sync(w, p, offset) for w in windows]
         got = crosscorr_offsets(planes, p, offset)
         assert got.dtype == np.int64 and got.tolist() == want
         assert want[5] == theta % MN
@@ -301,7 +287,7 @@ class TestStackedCrossCorrelation:
         assert len(spectra) == 1
         assert chunks == [((512, 256), 32), ((512, 256), 32), ((76, 256), 32)]
         windows = planes_to_complex(planes)
-        want = [cross_correlate_sync(w, p, 32, -40).theta_hat for w in windows[::97]]
+        want = [cross_correlate_sync(w, p, -40) for w in windows[::97]]
         assert got[::97].tolist() == want
 
     def test_planes_to_complex_is_the_float64_conversion(self):
@@ -329,7 +315,7 @@ class TestStreamCaptures:
         w = _noiseless_capture(frame, theta, preamble=pre_cfg, seed=3)
         p = zadoff_chu(64, 5)
         offset = -(64 + frame.L_CP)
-        return cross_correlate_sync(w, p, M=frame.M, preamble_offset=offset)
+        return cross_correlate_sync(w, p, preamble_offset=offset)
 
     def test_visible_range_exact(self):
         frame = self.FRAME
@@ -337,14 +323,13 @@ class TestStreamCaptures:
         lo, hi = -MN // 2, -(64 + frame.L_CP)
         for theta in range(lo, hi + 1, 7):
             est = self._estimate(theta)
-            assert est.theta_hat == theta % MN, f"theta {theta} -> {est.theta_hat}"
+            assert est == theta % MN, f"theta {theta} -> {est}"
 
     def test_boundary_cases(self):
         frame = self.FRAME
         MN = frame.grid_size
         for theta in (-MN // 2, -(64 + frame.L_CP)):
-            est = self._estimate(theta)
-            assert est.theta_hat == theta % MN
+            assert self._estimate(theta) == theta % MN
 
 
 class TestOperationCounts:

@@ -300,6 +300,48 @@ class TestHappyPath:
         assert lines[0] == "method,flops,params,runtime_s"
         assert len(lines) == 5
 
+    def test_complexity_without_runtime_reads_no_tensor_data(self, workdir, tmp_path,
+                                                             capsys, monkeypatch):
+        # before: every --weights file was loaded in full (2.1 GB for a
+        # default one-stage head) though no head runs
+        import otfs_sync.cli as cli_mod
+        from otfs_sync.nn.io import save_tensors
+        from otfs_sync.nn.model import HEAD_CODES, build_sync_model, save_model
+
+        heads = [str(workdir[h]) for h in ("onestage", "coarse", "fine")]
+        argv = ["complexity", "--config", str(workdir["config"]), "--no-runtime"]
+        csv_path = tmp_path / "cost.csv"
+        assert main(argv) == 0 and main([*argv, "--out", str(csv_path)]) == 0
+        want = capsys.readouterr().out
+        want_csv = csv_path.read_text()
+
+        loaded = []
+        monkeypatch.setattr(cli_mod, "load_model", lambda path: loaded.append(path))
+        assert main([*argv, "--weights", *heads]) == 0
+        assert main([*argv, "--weights", *heads, "--out", str(csv_path)]) == 0
+        assert capsys.readouterr().out == want and csv_path.read_text() == want_csv
+
+        bad_magic = tmp_path / "bad.otfsnn"
+        bad_magic.write_bytes(b"NOPENOPE" + b"\x00" * 16)
+        misfit = tmp_path / "misfit.otfsnn"  # 16x4 tensors under 8x4 metadata
+        tensors = dict(build_sync_model(16, 4, "onestage").state_dict())
+        tensors.update({"meta.M": np.float32(8), "meta.N": np.float32(4),
+                        "meta.head_code": np.float32(HEAD_CODES["onestage"])})
+        save_tensors(str(misfit), tensors)
+        wide = tmp_path / "wide.otfsnn"
+        save_model(str(wide), build_sync_model(16, 4, "coarse"))
+        for weights, code, message in (
+            ([bad_magic], 3, "bad magic"),
+            ([misfit], 3, "'fc.weight' has shape"),
+            ([workdir["coarse"], workdir["fine"], workdir["coarse"]], 2,
+             "holds a second coarse model"),
+            ([wide], 2, "holds a 16x4 model, expected 8x4"),
+        ):
+            assert main(["complexity", "--M", "8", "--N", "4", "--no-runtime",
+                         "--weights", *map(str, weights)]) == code, message
+            assert message in capsys.readouterr().err
+        assert loaded == []
+
     def test_seed_override_changes_bytes(self, workdir):
         alt = workdir["root"] / "alt.otfsds"
         assert main(["gen", "--config", str(workdir["config"]),

@@ -32,7 +32,6 @@ from otfs_sync.dataset import (
     synthesize_capture,
     write_dataset,
 )
-from otfs_sync.estimate import combine_offset, decompose_offset
 from otfs_sync.frames import (
     FrameConfig,
     PilotConfig,
@@ -75,8 +74,8 @@ class TestLabels:
         wrapped, t, d = label_of(theta, M, N)
         assert 0 <= wrapped < M * N
         assert 0 <= t < N and 0 <= d < M
-        assert wrapped == combine_offset(d, t, M)
-        assert decompose_offset(wrapped, M) == (d, t)
+        assert wrapped == d + M * t
+        assert (wrapped - theta) % (M * N) == 0
 
     def test_out_of_range_rejected(self):
         cfg = _toy_config()
@@ -561,6 +560,32 @@ class TestFileFormat:
         path.write_bytes(bytes(raw))
         with pytest.raises(DataFormatError, match="promises 4 records"):
             read_dataset(path)
+
+    @pytest.mark.parametrize("M, N, L_CP, match", [
+        (0, 8, 8, "needs M, N >= 1"),
+        (32, 0, 0, "needs M, N >= 1"),
+        (32, 8, 256, "L_CP < M\\*N"),
+        (32, 8, 2**32 - 1, "L_CP < M\\*N"),
+        (2**31, 8, 8, "no record can hold a 2147483648x8 window"),
+        (2**32 - 1, 2**32 - 1, 8, "no record can hold"),
+        (2**20, 2**10, 8, "no record can hold"),
+    ], ids=["M-0", "N-0", "cp-MN", "cp-u32-max", "M-2e31", "MN-2e64", "record-over-2GiB"])
+    def test_rejects_impossible_header_grid(self, tmp_path, capsys, M, N, L_CP, match):
+        # before: M = 2**31 failed in numpy (exit 4) and L_CP = 2**32 - 1 read silently
+        from otfs_sync.cli import main
+
+        path = tmp_path / "grid.otfsds"
+        write_dataset(_toy_config(samples_per_channel=10), path)
+        raw = bytearray(path.read_bytes())
+        raw[12:24] = struct.pack("<III", M, N, L_CP)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataFormatError, match=match) as info:
+            read_dataset(path)
+        assert str(path) in str(info.value)
+        for argv in (["info", "--dataset", str(path)],
+                     ["eval", "--method", "crosscorr", "--dataset", str(path)]):
+            assert main(argv) == 3, argv
+            assert "data format error" in capsys.readouterr().err
 
 
 class TestRecordLayout:

@@ -125,7 +125,7 @@ def _per_record_crosscorr(ds, models):
     for i in range(len(ds)):
         win = ds.windows[i].astype(np.float64)
         out.append(classic.cross_correlate_sync(
-            win[0] + 1j * win[1], models.preamble, ds.M, models.preamble_offset).theta_hat)
+            win[0] + 1j * win[1], models.preamble, models.preamble_offset))
     return out
 
 

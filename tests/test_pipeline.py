@@ -122,9 +122,7 @@ class TestTwoStageComposition:
         coarse = FixedModel(ds.M, ds.N, ds.theta_t[:1])
         fine = FixedModel(ds.M, ds.N, ds.theta_d[:1])
         est = infer(ds.windows[0], coarse, fine)
-        assert est.method == "resnet2stage"
-        assert est.theta_hat == int(ds.theta_wrapped[0])
-        assert est.theta_hat == est.theta_d_hat + ds.M * est.theta_t_hat
+        assert type(est) is int and est == int(ds.theta_wrapped[0])
 
     def test_coarse_error_shifts_by_whole_segments(self):
         ds = _tiny_dataset(seed=7, samples=8)

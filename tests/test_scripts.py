@@ -1,5 +1,6 @@
 """Smoke tests of the experiment scripts at a few seconds' scale."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,22 @@ from otfs_sync.nn.model import load_model
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 SCRIPT = SCRIPTS / "run_toy_experiment.py"
+
+# 40 toy AWGN captures: the default config's grid at a few seconds' scale
+TINY_CONFIG = {"frame": {"M": 32, "N": 8, "L_CP": 8}, "channels": ["awgn"],
+               "snr_grid_db": [10.0, 20.0], "samples_per_channel": 40, "global_seed": 2024}
+
+
+def _run_toy(tmp_path, outdir):
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps(TINY_CONFIG))
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), "--config", str(config), "--epochs", "1",
+         "--skip-onestage", "--outdir", str(outdir)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return config
 
 
 @pytest.mark.parametrize("script", sorted(p.name for p in SCRIPTS.glob("*.py")))
@@ -22,12 +39,8 @@ def test_script_parses_help(script):
 
 def test_toy_experiment_writes_its_artifacts(tmp_path):
     outdir = tmp_path / "toy"
-    done = subprocess.run(
-        [sys.executable, str(SCRIPT), "--samples", "40", "--epochs", "1",
-         "--skip-onestage", "--outdir", str(outdir)],
-        capture_output=True, text=True, timeout=300,
-    )
-    assert done.returncode == 0, done.stderr
+    config = _run_toy(tmp_path, outdir)
+    assert (outdir / "config.json").read_bytes() == config.read_bytes()
     for name in ("toy.ds", "config.json", "coarse.weights", "coarse.weights.final",
                  "fine.weights", "fine.weights.final", "coarse.train.jsonl",
                  "fine.train.jsonl", "metrics.csv", "complexity.csv"):
@@ -37,6 +50,21 @@ def test_toy_experiment_writes_its_artifacts(tmp_path):
         model, meta = load_model(str(outdir / name))
         assert model.head == "coarse"
         assert meta["best_epoch"] == 0.0
+
+
+def test_toy_experiment_metrics_are_reproducible(tmp_path):
+    _run_toy(tmp_path, tmp_path / "a")
+    _run_toy(tmp_path, tmp_path / "b")
+    first = (tmp_path / "a" / "metrics.csv").read_bytes()
+    assert first.startswith(b"method,") and first == (tmp_path / "b" / "metrics.csv").read_bytes()
+
+
+def test_default_config_is_the_toy_experiment():
+    from otfs_sync.config import load_dataset_config
+
+    cfg = load_dataset_config(str(SCRIPTS / "toy_config.json"))
+    assert (cfg.frame.M, cfg.frame.N, cfg.frame.L_CP) == (32, 8, 8)
+    assert (cfg.record_count, cfg.global_seed, cfg.snr_grid_db) == (5000, 2024, (10.0, 20.0))
 
 
 def test_crosscorr_snr_table():
