@@ -13,7 +13,7 @@ and the analytic cost table.  Everything lands in --outdir:
     coarse.weights[.final]      best / final-epoch weights per stage
     fine.weights[.final]
     onestage.weights[.final]
-    *.train.jsonl               per-epoch training reports
+    *.weights.train.jsonl       per-epoch training reports
     metrics.csv                 per-channel/per-SNR rows for every method
     complexity.csv              FLOPs / params / runtime per method
 
@@ -80,7 +80,7 @@ def main() -> int:
     t0 = time.perf_counter()
     n = write_dataset(cfg, str(ds_path))
     print(f"dataset: {n} captures -> {ds_path} ({time.perf_counter() - t0:.1f}s)")
-    train_ds, test_ds = read_dataset(str(ds_path)).split(cfg.train_fraction)
+    train_ds, test_ds = read_dataset(str(ds_path)).split()
     print(f"split: {len(train_ds)} train / {len(test_ds)} test")
 
     log = lambda msg: print(f"  {msg}", flush=True)
@@ -91,8 +91,7 @@ def main() -> int:
                            epochs=args.epochs, seed=seeds[stage])
         t = time.perf_counter()
         result = trainer(hyper)
-        best = save_training_result(result, hyper, str(outdir / f"{stage}.weights"))
-        (outdir / f"{stage}.train.jsonl").write_text(result.report.to_json_lines())
+        best = save_training_result(result, str(outdir / f"{stage}.weights"))
         print(f"{stage}: best acc {result.report.best_accuracy:.4f} "
               f"(epoch {result.report.best_epoch}) in {time.perf_counter() - t:.0f}s")
         return best

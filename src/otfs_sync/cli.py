@@ -22,7 +22,8 @@ from dataclasses import replace
 import numpy as np
 
 from .config import ConfigError, load_dataset_config
-from .dataset import DataFormatError, PreambleConfig, read_dataset, write_dataset
+from .dataset import (DataFormatError, Dataset, DatasetConfig, PreambleConfig, read_dataset,
+                      write_dataset)
 from .frames import zadoff_chu
 from .metrics import (
     METHOD_HEADS,
@@ -55,9 +56,6 @@ def _check_args(args: argparse.Namespace) -> None:
     wd = getattr(args, "wd", 0.0)
     if not (np.isfinite(wd) and wd >= 0):
         raise ConfigError(f"--wd must be finite and >= 0, got {wd}")
-    fraction = getattr(args, "train_fraction", 0.5)
-    if not 0.0 < fraction < 1.0:
-        raise ConfigError(f"--train-fraction must lie strictly between 0 and 1, got {fraction}")
     step = getattr(args, "snr_step", 1.0)
     if not step > 0:
         raise ConfigError(f"--snr-step must be > 0, got {step}")
@@ -72,12 +70,24 @@ def _preamble(length: int, root: int) -> np.ndarray:
         raise ConfigError(str(exc)) from exc
 
 
-def _load_heads(paths: list[str], grid: tuple[int, int], load: bool = True) -> dict:
-    """Each weights file's model, keyed by the head its metadata names, or
-    None with ``load`` False.  Every file's header (its table and ``meta.*``
-    scalars) is checked before it is loaded: a second file for one head, or
-    a model for another grid than the M x N ``grid``, is a configuration
-    error."""
+def _read_split(path: str, need_train: bool) -> tuple[Dataset, Dataset]:
+    """The dataset at ``path`` split 80/20 per channel into (train, test),
+    the one split every command uses.  An empty test side, or an empty
+    training side when ``need_train``, is a configuration error."""
+    train_ds, test_ds = read_dataset(path).split()
+    if not len(test_ds) or (need_train and not len(train_ds)):
+        side = "neither side" if need_train else "the test side"
+        raise ConfigError(f"{path} splits into {len(train_ds)} training and {len(test_ds)} "
+                          f"test records; {side} may be empty")
+    return train_ds, test_ds
+
+
+def _load_heads(paths: list[str], grid: tuple[int, int], load: set[str]) -> dict:
+    """Each weights file's model, keyed by the head its metadata names; a
+    head not in ``load`` maps to None and no tensor data of its file is read.
+    Every file's header (its table and ``meta.*`` scalars) is checked first:
+    a second file for one head, or a model for another grid than the M x N
+    ``grid``, is a configuration error."""
     models = {}
     for path in paths:
         with open(path, "rb") as fh:
@@ -86,7 +96,7 @@ def _load_heads(paths: list[str], grid: tuple[int, int], load: bool = True) -> d
             raise ConfigError(f"{path} holds a second {head} model")
         if (M, N) != grid:
             raise ConfigError(f"{path} holds a {M}x{N} model, expected {grid[0]}x{grid[1]}")
-        models[head] = load_model(path)[0] if load else None
+        models[head] = load_model(path)[0] if head in load else None
     return models
 
 
@@ -119,7 +129,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    train_ds, test_ds = read_dataset(args.dataset).split(args.train_fraction)
+    train_ds, test_ds = _read_split(args.dataset, need_train=True)
     hyper = TrainHyper(
         lr=args.lr,
         batch_size=args.batch,
@@ -135,29 +145,30 @@ def _cmd_train(args: argparse.Namespace) -> int:
     else:
         if not args.coarse_weights:
             raise ConfigError("--stage fine requires --coarse-weights")
-        coarse = _load_heads([args.coarse_weights], (train_ds.M, train_ds.N)).get("coarse")
+        coarse = _load_heads([args.coarse_weights], (train_ds.M, train_ds.N),
+                             {"coarse"}).get("coarse")
         if coarse is None:
             raise ConfigError(f"{args.coarse_weights} does not hold a coarse model")
         result = train_fine(coarse, train_ds, test_ds, hyper, log)
 
-    save_training_result(result, hyper, args.out_weights)
-    report_path = args.report or args.out_weights + ".train.jsonl"
-    with open(report_path, "w") as fh:
-        fh.write(result.report.to_json_lines())
+    save_training_result(result, args.out_weights)
     print(
         f"best test accuracy {result.report.best_accuracy:.4f} "
         f"(epoch {result.report.best_epoch}); weights: {args.out_weights}, "
-        f"final: {args.out_weights}.final, report: {report_path}"
+        f"final: {args.out_weights}.final, report: {args.out_weights}.train.jsonl"
     )
     return 0
 
 
 def _load_models_for(args: argparse.Namespace, ds, methods: list[str]) -> SweepModels:
-    loaded = _load_heads(args.weights, (ds.M, ds.N))
+    """Only the heads and the preamble that ``methods`` use: nothing else is read or built."""
+    needed = {head for method in methods for head in METHOD_HEADS[method]}
+    loaded = _load_heads(args.weights, (ds.M, ds.N), needed)
     for method in methods:
         if not loaded.keys() >= set(METHOD_HEADS[method]):
             raise ConfigError(f"{method} needs {' and '.join(METHOD_HEADS[method])} weights")
-    preamble = _preamble(args.preamble_length, args.preamble_root)
+    crosscorr = "crosscorr" in methods
+    preamble = _preamble(args.preamble_length, args.preamble_root) if crosscorr else None
     pilot_row = args.pilot_row if args.pilot_row is not None else ds.M // 2
     if not 0 <= pilot_row < ds.M:
         raise ConfigError(f"--pilot-row must lie in [0, {ds.M}), got {pilot_row}")
@@ -170,8 +181,7 @@ def _load_models_for(args: argparse.Namespace, ds, methods: list[str]) -> SweepM
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    ds = read_dataset(args.dataset)
-    _, test_ds = ds.split(args.train_fraction)
+    _, test_ds = _read_split(args.dataset, need_train=False)
     models = _load_models_for(args, test_ds, [args.method])
     theta_hat = estimate_all(test_ds, args.method, models, args.batch)
     rows = condition_rows(test_ds, args.method, theta_hat)
@@ -180,12 +190,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    ds = read_dataset(args.dataset)
-    _, test_ds = ds.split(args.train_fraction)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise ConfigError(f"--methods names no method; choose from {METHODS}")
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}; choose from {METHODS}")
+    _, test_ds = _read_split(args.dataset, need_train=False)
     models = _load_models_for(args, test_ds, methods)
     snr_values = None
     if args.snr_min is not None or args.snr_max is not None:
@@ -200,16 +211,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_complexity(args: argparse.Namespace) -> int:
-    if args.config:
-        cfg = load_dataset_config(args.config)
-        M, N = cfg.frame.M, cfg.frame.N
-        preamble = cfg.preamble or PreambleConfig()
-        pilot_row = cfg.pilot.m_p
-    else:
-        M, N, pilot_row = args.M, args.N, None
-        preamble = PreambleConfig(args.preamble_length)
-        if M < 1 or N < 1:
-            raise ConfigError(f"--M and --N must be >= 1, got {M}x{N}")
+    cfg = load_dataset_config(args.config) if args.config else DatasetConfig()
+    M, N = cfg.frame.M, cfg.frame.N
+    preamble = cfg.preamble or PreambleConfig()
     if not args.no_runtime:
         _preamble(preamble.length, preamble.root)  # the one crosscorr is timed with
         if preamble.length > M * N:
@@ -218,9 +222,10 @@ def _cmd_complexity(args: argparse.Namespace) -> int:
         if M * N % 8:
             raise ConfigError(f"timing the classifiers needs M*N divisible by 8, got {M}x{N}")
     # with no runtime measured no head runs, so no tensor data is read
-    models = SweepModels(**_load_heads(args.weights, (M, N), load=not args.no_runtime))
+    models = SweepModels(**_load_heads(args.weights, (M, N),
+                                       set() if args.no_runtime else set(HEADS)))
     rows = complexity_report(
-        M, N, preamble=preamble, pilot_row=pilot_row,
+        M, N, preamble=preamble, pilot_row=cfg.pilot.m_p,
         models=models, repeats=args.repeats,
         measure_runtime=not args.no_runtime,
     )
@@ -277,13 +282,11 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--dataset", required=True)
     t.add_argument("--out-weights", required=True)
     t.add_argument("--coarse-weights", help="trained coarse stage (fine training)")
-    t.add_argument("--epochs", type=int, default=500)
-    t.add_argument("--batch", type=int, default=256)
-    t.add_argument("--lr", type=float, default=1e-4)
-    t.add_argument("--wd", type=float, default=0.01)
-    t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--train-fraction", type=float, default=0.8)
-    t.add_argument("--report", help="per-epoch JSON-lines path")
+    t.add_argument("--epochs", type=int, default=TrainHyper.epochs)
+    t.add_argument("--batch", type=int, default=TrainHyper.batch_size)
+    t.add_argument("--lr", type=float, default=TrainHyper.lr)
+    t.add_argument("--wd", type=float, default=TrainHyper.weight_decay)
+    t.add_argument("--seed", type=int, default=TrainHyper.seed)
     t.set_defaults(func=_cmd_train)
 
     def add_weights_flag(sp):
@@ -293,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_eval_flags(sp):
         sp.add_argument("--dataset", required=True)
         add_weights_flag(sp)
-        sp.add_argument("--train-fraction", type=float, default=0.8)
         sp.add_argument("--batch", type=int, default=256)
         sp.add_argument("--preamble-length", type=int, default=256)
         sp.add_argument("--preamble-root", type=int, default=25)
@@ -317,10 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("complexity", help="analytic FLOPs / params / measured runtime, "
                                           "and each head's per-layer FLOPs")
-    c.add_argument("--config", help="JSON config providing the geometry")
-    c.add_argument("--M", type=int, default=256)
-    c.add_argument("--N", type=int, default=64)
-    c.add_argument("--preamble-length", type=int, default=256)
+    c.add_argument("--config", help="JSON config giving the grid, pilot row and preamble "
+                                    "(default: the 256x64 default configuration)")
     add_weights_flag(c)
     c.add_argument("--repeats", type=int, default=100)
     c.add_argument("--no-runtime", action="store_true",

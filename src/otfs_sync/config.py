@@ -11,14 +11,13 @@ A config document looks like::
       "blocks_per_frame": 1,
       "preamble": {"length": 256, "root": 25},
       "global_seed": 7,
-      "train_fraction": 0.8,
       "sample_rate_hz": 1.0e7
     }
 
-Every key is optional and falls back to the dataclass default.  Channels may
-be preset labels ("awgn", "rayleigh", "eva"), preset ids (1, 2, 3) or inline
-custom profiles ``{"delays_ns": [...], "gains_db": [...],
-"max_doppler_hz": ..., "label": "..."}``.
+Every key is optional and falls back to the dataclass default; the two
+counts and the seed must be JSON integers.  Channels may be preset labels
+("awgn", "rayleigh", "eva"), preset ids (1, 2, 3) or inline custom profiles
+``{"delays_ns": [...], "gains_db": [...], "max_doppler_hz": ..., "label": "..."}``.
 """
 
 from __future__ import annotations
@@ -75,8 +74,7 @@ def parse_dataset_config(doc: dict) -> DatasetConfig:
         raise ConfigError("configuration root must be a JSON object")
     _require_keys(doc, {
         "frame", "pilot", "channels", "snr_grid_db", "samples_per_channel",
-        "blocks_per_frame", "preamble", "global_seed", "train_fraction",
-        "sample_rate_hz",
+        "blocks_per_frame", "preamble", "global_seed", "sample_rate_hz",
     }, "config")
     try:
         frame_doc = doc.get("frame", {})
@@ -98,13 +96,13 @@ def parse_dataset_config(doc: dict) -> DatasetConfig:
             _require_keys(pre_doc, {"length", "root"}, "preamble")
             preamble = PreambleConfig(**pre_doc)
 
-        kwargs: dict[str, Any] = {}
-        for key in ("samples_per_channel", "blocks_per_frame", "global_seed"):
-            if key in doc:
-                kwargs[key] = int(doc[key])
-        for key in ("train_fraction", "sample_rate_hz"):
-            if key in doc:
-                kwargs[key] = float(doc[key])
+        integers = ("samples_per_channel", "blocks_per_frame", "global_seed")
+        kwargs: dict[str, Any] = {key: doc[key] for key in integers if key in doc}
+        for key, value in kwargs.items():
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
+        if "sample_rate_hz" in doc:
+            kwargs["sample_rate_hz"] = float(doc["sample_rate_hz"])
         if "snr_grid_db" in doc:
             kwargs["snr_grid_db"] = tuple(float(s) for s in doc["snr_grid_db"])
         return DatasetConfig(

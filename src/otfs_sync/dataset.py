@@ -95,7 +95,8 @@ DEFAULT_SNR_GRID_DB = tuple(float(s) for s in range(-20, 27, 2))
 
 
 class DataFormatError(Exception):
-    """Raised when a dataset or weights file fails structural validation."""
+    """Raised when a dataset file fails structural validation (weights files
+    raise :class:`~otfs_sync.nn.io.WeightsFormatError`)."""
 
 
 @dataclass(frozen=True)
@@ -116,7 +117,6 @@ class DatasetConfig:
     blocks_per_frame: int = 1
     preamble: PreambleConfig | None = None
     global_seed: int = 0
-    train_fraction: float = 0.8
     sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ
 
     def __post_init__(self) -> None:
@@ -138,8 +138,6 @@ class DatasetConfig:
             raise ValueError("samples_per_channel must be >= 1")
         if self.blocks_per_frame < 1:
             raise ValueError("blocks_per_frame must be >= 1")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must lie strictly between 0 and 1")
         if not 0 <= self.global_seed < 2**64:
             raise ValueError(f"global_seed must lie in [0, 2**64), got {self.global_seed}")
 
@@ -332,9 +330,10 @@ class Dataset:
         """Per-channel deterministic split: the leading fraction of each
         channel's records trains, the remainder tests.  Records are i.i.d.
         within a channel, so the prefix rule is an unbiased random split that
-        needs no extra state to reproduce."""
-        train_idx: list[np.ndarray] = []
-        test_idx: list[np.ndarray] = []
+        needs no extra state to reproduce.  A dataset without records splits
+        into two empty ones."""
+        train_idx = [np.empty(0, np.intp)]
+        test_idx = [np.empty(0, np.intp)]
         for cid in np.unique(self.channel_id):
             idx = np.flatnonzero(self.channel_id == cid)
             k = int(np.floor(train_fraction * idx.size))

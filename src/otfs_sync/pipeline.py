@@ -279,14 +279,18 @@ def infer_one_stage(windows: np.ndarray, model: SyncModel, batch_size: int = 256
     return model.predict_classes(windows, batch_size)
 
 
-def save_training_result(result: TrainResult, hyper: TrainHyper, path: str) -> SyncModel:
-    """Save the final-epoch weights to ``<path>.final``, then restore the best
-    weights into ``result.model`` and save them to ``path``.  Both files carry
-    ``format``, the hyper-parameters and ``best_epoch`` on top of the geometry
-    :func:`~otfs_sync.nn.model.save_model` writes.  Returns the best model."""
-    meta = {"format": 1.0, **hyper.as_metadata(),
-            "best_epoch": float(result.report.best_epoch)}
+def save_training_result(result: TrainResult, path: str) -> SyncModel:
+    """Write a training run's three files: the final-epoch weights to
+    ``<path>.final``, the best weights (restored into ``result.model``) to
+    ``path`` and the per-epoch report to ``<path>.train.jsonl``.  Both weights
+    files carry ``format``, the hyper-parameters and ``best_epoch`` on top of
+    the geometry :func:`~otfs_sync.nn.model.save_model` writes.  Returns the
+    best model."""
+    report = result.report
+    meta = {"format": 1.0, **report.hyper.as_metadata(), "best_epoch": float(report.best_epoch)}
     save_model(path + ".final", result.model, meta)
     best = result.restore_best()
     save_model(path, best, meta)
+    with open(path + ".train.jsonl", "w") as fh:
+        fh.write(report.to_json_lines())
     return best

@@ -140,9 +140,9 @@ def _run_two_stage(train: Dataset, test: Dataset, tmp: Path, tag: str) -> TwoSta
     determinism check."""
     t0 = time.perf_counter()
     rc = train_coarse(train, test, COARSE_HYPER)
-    coarse = save_training_result(rc, COARSE_HYPER, str(tmp / f"{tag}-coarse.weights"))
+    coarse = save_training_result(rc, str(tmp / f"{tag}-coarse.weights"))
     rf = train_fine(coarse, train, test, FINE_HYPER)
-    fine = save_training_result(rf, FINE_HYPER, str(tmp / f"{tag}-fine.weights"))
+    fine = save_training_result(rf, str(tmp / f"{tag}-fine.weights"))
     blobs = {f"{stage}.{kind}": (tmp / f"{tag}-{stage}.weights{suffix}").read_bytes()
              for stage in ("coarse", "fine")
              for kind, suffix in (("final", ".final"), ("best", ""))}

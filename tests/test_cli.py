@@ -259,6 +259,73 @@ class TestHappyPath:
             except SystemExit:
                 pytest.fail(f"README command does not parse: {command}")
 
+    def test_command_options_are_pinned(self):
+        # every settable option of every command: a new one lands here too
+        parser = build_parser()
+        (commands,) = (a.choices for a in parser._actions if a.dest == "command")
+        options = {name: sorted(flag for a in sub._actions for flag in a.option_strings
+                                if flag not in ("-h", "--help"))
+                   for name, sub in commands.items()}
+        eval_flags = ["--batch", "--dataset", "--out", "--pilot-row", "--preamble-length",
+                      "--preamble-root", "--weights"]
+        assert options == {
+            "gen": ["--config", "--out", "--seed"],
+            "train": ["--batch", "--coarse-weights", "--dataset", "--epochs", "--lr",
+                      "--out-weights", "--seed", "--stage", "--wd"],
+            "eval": sorted(["--method", *eval_flags]),
+            "sweep": sorted(["--methods", "--snr-max", "--snr-min", "--snr-step",
+                             *eval_flags]),
+            "complexity": ["--config", "--no-runtime", "--out", "--repeats", "--weights"],
+            "info": ["--dataset", "--weights"],
+        }
+
+    @pytest.mark.parametrize("command", [["eval", "--method"], ["sweep", "--methods"]])
+    def test_no_preamble_is_built_without_crosscorr(self, workdir, capsys, command):
+        # before: root 25 is not coprime with length 250, so a preamble that
+        # autocorr2d never reads was refused with exit 2
+        argv = [*command, "autocorr2d", "--dataset", str(workdir["dataset"])]
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+        assert main([*argv, "--preamble-length", "250"]) == 0
+        assert capsys.readouterr().out == want
+
+    def test_only_the_heads_the_methods_use_are_loaded(self, workdir, tmp_path, capsys,
+                                                       monkeypatch):
+        # before: eval --method resnet2stage read the one-stage tensors too
+        import otfs_sync.cli as cli_mod
+        from otfs_sync.nn.model import build_sync_model, save_model
+
+        loaded = []
+        original = cli_mod.load_model
+
+        def recording(path):
+            loaded.append(path)
+            return original(path)
+
+        monkeypatch.setattr(cli_mod, "load_model", recording)
+        heads = {h: str(workdir[h]) for h in ("coarse", "fine", "onestage")}
+        dataset = ["--dataset", str(workdir["dataset"])]
+        for command, used in (
+            (["eval", "--method", "resnet2stage"], ["coarse", "fine"]),
+            (["eval", "--method", "resnet1stage"], ["onestage"]),
+            (["sweep", "--methods", "autocorr2d"], []),
+        ):
+            loaded.clear()
+            assert main([*command, *dataset, "--weights", *heads.values()]) == 0
+            assert loaded == [heads[h] for h in used]
+        capsys.readouterr()
+        # the header of a file no method uses is still checked
+        wide = tmp_path / "wide.otfsnn"
+        save_model(str(wide), build_sync_model(16, 4, "coarse"))
+        for weights, message in (
+            ([heads["onestage"], str(wide)], "holds a 16x4 model, expected 8x4"),
+            ([heads["onestage"], heads["coarse"], heads["coarse"]],
+             "holds a second coarse model"),
+        ):
+            assert main(["eval", "--method", "resnet1stage", *dataset,
+                         "--weights", *weights]) == 2
+            assert message in capsys.readouterr().err
+
     def test_complexity_table(self, workdir, capsys):
         assert main([
             "complexity", "--config", str(workdir["config"]),
@@ -281,9 +348,11 @@ class TestHappyPath:
         assert any(line.split()[0] == "rb1.conv7" for line in lines if line.strip())
         assert lines[-1] == "two-stage forward total: 186,646,848 FLOPs"
 
-    def test_complexity_columns_never_touch(self, capsys):
+    def test_complexity_columns_never_touch(self, tmp_path, capsys):
         # 16-digit cells wider than the default column widths
-        assert main(["complexity", "--M", "100000", "--N", "100000", "--no-runtime"]) == 0
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps({"frame": {"M": 2**17, "N": 2**17}}))
+        assert main(["complexity", "--config", str(cfg), "--no-runtime"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert [len(line.split()) for line in lines[1:6]] == [4] * 5
         layer_rows = [line for line in lines if line.startswith("  ")]
@@ -293,7 +362,7 @@ class TestHappyPath:
     def test_complexity_analytic_only_csv(self, workdir):
         out_csv = workdir["root"] / "complexity.csv"
         assert main([
-            "complexity", "--M", "8", "--N", "4", "--preamble-length", "16",
+            "complexity", "--config", str(workdir["config"]),
             "--no-runtime", "--out", str(out_csv),
         ]) == 0
         lines = out_csv.read_text().strip().split("\n")
@@ -337,8 +406,7 @@ class TestHappyPath:
              "holds a second coarse model"),
             ([wide], 2, "holds a 16x4 model, expected 8x4"),
         ):
-            assert main(["complexity", "--M", "8", "--N", "4", "--no-runtime",
-                         "--weights", *map(str, weights)]) == code, message
+            assert main([*argv, "--weights", *map(str, weights)]) == code, message
             assert message in capsys.readouterr().err
         assert loaded == []
 
@@ -436,7 +504,8 @@ class TestExitCodes:
         for argv in (
             ["eval", "--method", "resnet2stage", "--dataset", str(workdir["dataset"]),
              "--weights", str(workdir["fine"]), str(wide)],
-            ["complexity", "--M", "8", "--N", "4", "--no-runtime", "--weights", str(wide)],
+            ["complexity", "--config", str(workdir["config"]), "--no-runtime",
+             "--weights", str(wide)],
             ["train", "--stage", "fine", "--dataset", str(workdir["dataset"]),
              "--coarse-weights", str(wide), "--out-weights", str(tmp_path / "f.otfsnn")],
         ):
@@ -472,6 +541,53 @@ class TestExitCodes:
             "sweep", "--methods", "telepathy",
             "--dataset", str(workdir["dataset"]),
         ]) == 2
+
+    def test_sweep_without_a_method_is_2(self, workdir, capsys):
+        # before: a header-only CSV, exit 0
+        assert main(["sweep", "--methods", ",", "--dataset", str(workdir["dataset"])]) == 2
+        captured = capsys.readouterr()
+        assert "names no method" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("key,value", [
+        ("samples_per_channel", 1.5), ("global_seed", 7.9), ("blocks_per_frame", True),
+        ("global_seed", "7"),
+    ])
+    def test_non_integer_config_count_is_2(self, tmp_path, capsys, key, value):
+        # before: int() made 1.5 records 1, seed 7.9 seed 7, and so on, exit 0
+        cfg = tmp_path / "count.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, key: value}))
+        out = tmp_path / "count.otfsds"
+        assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert f"{key} must be an integer, got {value!r}" in capsys.readouterr().err
+
+    def test_an_empty_side_of_the_split_is_2(self, workdir, tmp_path, capsys):
+        # before: a header-only file failed with "need at least one array to
+        # concatenate" and a 1-record file under train with ZeroDivisionError,
+        # both exit 4
+        empty = tmp_path / "empty.otfsds"
+        header = bytearray(workdir["dataset"].read_bytes()[:40])
+        header[24:32] = struct.pack("<Q", 0)  # the record count
+        empty.write_bytes(bytes(header))
+        cfg = tmp_path / "one.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "samples_per_channel": 1}))
+        one = tmp_path / "one.otfsds"
+        assert main(["gen", "--config", str(cfg), "--out", str(one)]) == 0
+        capsys.readouterr()
+        weights = tmp_path / "w.otfsnn"
+        train = ["train", "--stage", "coarse", "--epochs", "1", "--out-weights", str(weights)]
+        for argv, counts in (
+            ([*train, "--dataset", str(empty)], "0 training and 0 test records"),
+            ([*train, "--dataset", str(one)], "0 training and 1 test records"),
+            (["eval", "--method", "autocorr2d", "--dataset", str(empty)],
+             "0 training and 0 test records"),
+            (["sweep", "--methods", "autocorr2d", "--dataset", str(empty)],
+             "0 training and 0 test records"),
+        ):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert "config error" in captured.err and counts in captured.err, argv
+        assert not weights.exists()
 
     def test_missing_weights_file_is_4(self, workdir):
         assert main([
@@ -597,9 +713,7 @@ class TestExitCodes:
         ]) == 2
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag,value", [
-        ("--batch", "0"), ("--train-fraction", "0"), ("--train-fraction", "1.5"),
-    ])
+    @pytest.mark.parametrize("flag,value", [("--batch", "0")])
     def test_bad_eval_option_is_2(self, workdir, flag, value):
         assert main([
             "eval", "--method", "autocorr2d",
@@ -638,26 +752,32 @@ class TestExitCodes:
         assert out.exists()
 
     @pytest.mark.parametrize("extra", [
-        ["--repeats", "0"],                          # nan runtimes, exit 0
-        ["--repeats", "-2", "--M", "8", "--N", "4"],
-        ["--M", "0", "--N", "8", "--no-runtime"],    # an all-zero table, exit 0
-        ["--M", "8", "--N", "0", "--no-runtime"],
-        ["--M", "-32", "--no-runtime"],              # negative dimensions: exit 4
-        ["--M", "8", "--N", "4", "--repeats", "1"],  # a 256-sample preamble: exit 4
+        (None, ["--repeats", "0"]),                             # nan runtimes, exit 0
+        ({"M": 8, "N": 4, "L_CP": 4}, ["--repeats", "-2"]),
+        ({"M": 0, "N": 8}, ["--no-runtime"]),                   # an all-zero table, exit 0
+        ({"M": 8, "N": 0}, ["--no-runtime"]),
+        ({"M": -32}, ["--no-runtime"]),                         # negative dimensions: exit 4
+        ({"M": 8, "N": 4, "L_CP": 4}, ["--repeats", "1"]),      # a 256-sample preamble: exit 4
     ])
-    def test_bad_complexity_option_is_2(self, capsys, extra):
-        assert main(["complexity", *extra]) == 2
+    def test_bad_complexity_option_is_2(self, tmp_path, capsys, extra):
+        frame, flags = extra
+        if frame is not None:
+            cfg = tmp_path / "grid.json"
+            cfg.write_text(json.dumps({"frame": frame}))
+            flags = ["--config", str(cfg), *flags]
+        assert main(["complexity", *flags]) == 2
         captured = capsys.readouterr()
         assert "config error" in captured.err and captured.out == ""
 
-    def test_bad_preamble_is_2(self, workdir):
+    def test_bad_preamble_is_2(self, workdir, tmp_path):
         assert main([
             "eval", "--method", "crosscorr",
             "--dataset", str(workdir["dataset"]),
             "--preamble-length", "16", "--preamble-root", "4",
         ]) == 2
-        assert main(["complexity", "--M", "8", "--N", "4",
-                     "--preamble-length", "25", "--repeats", "1"]) == 2
+        cfg = tmp_path / "p25.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "preamble": {"length": 25, "root": 5}}))
+        assert main(["complexity", "--config", str(cfg), "--repeats", "1"]) == 2
 
     @pytest.mark.parametrize("extra", [
         ["--snr-min", "0", "--snr-step", "0"],   # np.arange divided by zero: exit 4

@@ -25,7 +25,6 @@ class TestParsing:
             "samples_per_channel": 50,
             "preamble": {"length": 64, "root": 5},
             "global_seed": 9,
-            "train_fraction": 0.75,
             "sample_rate_hz": 2.0e7,
         })
         assert (cfg.frame.M, cfg.frame.N, cfg.frame.L_CP) == (32, 8, 8)
@@ -49,6 +48,8 @@ class TestParsing:
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError):
             parse_dataset_config({"banana": 1})
+        with pytest.raises(ConfigError, match="unknown keys \\['train_fraction'\\]"):
+            parse_dataset_config({"train_fraction": 0.8})
 
     def test_unknown_channel_label(self):
         with pytest.raises(ConfigError):

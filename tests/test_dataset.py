@@ -369,7 +369,6 @@ class TestConfig:
         assert len(cfg.snr_grid_db) == 24
         assert cfg.samples_per_channel == 30000
         assert cfg.record_count == 90000
-        assert cfg.train_fraction == 0.8
 
     def test_snr_grid_constant(self):
         assert DEFAULT_SNR_GRID_DB[0] == -20.0
@@ -382,8 +381,6 @@ class TestConfig:
         assert table[0][0] == 1 and table[1][0] == 2
 
     def test_invalid_fractions_rejected(self):
-        with pytest.raises(ValueError):
-            _toy_config(train_fraction=0.0)
         with pytest.raises(ValueError):
             _toy_config(samples_per_channel=0)
 
@@ -413,6 +410,11 @@ class TestSplit:
         for cid in (1, 2):
             assert int(np.sum(train.channel_id == cid)) == 8
             assert int(np.sum(test.channel_id == cid)) == 2
+
+    def test_empty_dataset_splits_into_two_empty_ones(self):
+        ds = generate_dataset(_toy_config(samples_per_channel=2)).subset(np.empty(0, np.intp))
+        train, test = ds.split()
+        assert len(train) == 0 and len(test) == 0
 
     def test_split_is_partition(self):
         ds = generate_dataset(_toy_config(samples_per_channel=10))

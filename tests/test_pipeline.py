@@ -224,7 +224,8 @@ class TestTraining:
 
     def test_saved_files_carry_the_metadata_contract(self, tmp_path):
         # every meta.* key of both files, each the float32 of its source;
-        # <path>.final holds the weights training ended with, <path> the best
+        # <path>.final holds the weights training ended with, <path> the best,
+        # and <path>.train.jsonl the per-epoch report
         from otfs_sync.nn.io import read_metadata, read_into, read_table
         from otfs_sync.nn.model import HEAD_CODES
 
@@ -237,7 +238,9 @@ class TestTraining:
         result.best_state = {k: v + 1 for k, v in result.best_state.items()}
         best = {k: v.copy() for k, v in result.best_state.items()}
         path = tmp_path / "coarse.weights"
-        save_training_result(result, hyper, str(path))
+        save_training_result(result, str(path))
+        assert (tmp_path / "coarse.weights.train.jsonl").read_text() == \
+            result.report.to_json_lines()
         sources = {"format": 1.0, "M": 8, "N": 4, "head_code": HEAD_CODES["coarse"],
                    "lr": 1e-3, "batch_size": 32, "epochs": 1, "weight_decay": 0.01,
                    "seed": 5, "best_epoch": 0}

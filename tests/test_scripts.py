@@ -42,8 +42,8 @@ def test_toy_experiment_writes_its_artifacts(tmp_path):
     config = _run_toy(tmp_path, outdir)
     assert (outdir / "config.json").read_bytes() == config.read_bytes()
     for name in ("toy.ds", "config.json", "coarse.weights", "coarse.weights.final",
-                 "fine.weights", "fine.weights.final", "coarse.train.jsonl",
-                 "fine.train.jsonl", "metrics.csv", "complexity.csv"):
+                 "fine.weights", "fine.weights.final", "coarse.weights.train.jsonl",
+                 "fine.weights.train.jsonl", "metrics.csv", "complexity.csv"):
         assert (outdir / name).is_file(), name
     assert not (outdir / "onestage.weights").exists()
     for name in ("coarse.weights", "coarse.weights.final"):
