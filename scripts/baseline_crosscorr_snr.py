@@ -34,8 +34,8 @@ def main() -> int:
     ap.add_argument("--M", type=int, default=256)
     ap.add_argument("--N", type=int, default=64)
     ap.add_argument("--L-CP", type=int, default=64)
-    ap.add_argument("--preamble-length", type=int, default=256)
-    ap.add_argument("--preamble-root", type=int, default=25)
+    ap.add_argument("--preamble-length", type=int, default=PreambleConfig.length)
+    ap.add_argument("--preamble-root", type=int, default=PreambleConfig.root)
     ap.add_argument("--snr", type=float, nargs="+",
                     default=[-20.0, -15.0, -10.0, -5.0, 0.0, 10.0, 20.0])
     ap.add_argument("--trials", type=int, default=200, help="captures per SNR point")

@@ -14,7 +14,8 @@ and the analytic cost table.  Everything lands in --outdir:
     fine.weights[.final]
     onestage.weights[.final]
     *.weights.train.jsonl       per-epoch training reports
-    metrics.csv                 per-channel/per-SNR rows for every method
+    metrics.csv                 per method: its per-channel/per-SNR rows, then
+                                its overall row (channel_id -1)
     complexity.csv              FLOPs / params / runtime per method
 
 The defaults reproduce the shipped acceptance numbers (~0.999 two-stage
@@ -38,10 +39,8 @@ from otfs_sync.metrics import (
     complexity_csv,
     complexity_report,
     complexity_table,
-    condition_rows,
-    estimate_all,
-    overall_row,
     rows_to_csv,
+    sweep,
 )
 from otfs_sync.pipeline import (TrainHyper, save_training_result, train_coarse, train_fine,
                                 train_one_stage)
@@ -107,15 +106,12 @@ def main() -> int:
     models = SweepModels(coarse=coarse, fine=fine, onestage=onestage,
                          pilot_row=cfg.pilot.m_p)
 
+    rows = sweep(test_ds, methods, models)
+    (outdir / "metrics.csv").write_text(rows_to_csv(rows))
     print("\noverall test metrics:")
-    overall, per_condition = [], []
-    for method in methods:
-        theta_hat = estimate_all(test_ds, method, models)
-        row = overall_row(test_ds, method, theta_hat)
-        overall.append(row)
-        per_condition.extend(condition_rows(test_ds, method, theta_hat))
-        print(f"  {method:<14} accuracy {row.accuracy:.4f}  rmse {row.rmse:.3f}")
-    (outdir / "metrics.csv").write_text(rows_to_csv(overall + per_condition))
+    for row in rows:
+        if row.channel_id == -1:
+            print(f"  {row.method:<14} accuracy {row.accuracy:.4f}  rmse {row.rmse:.3f}")
 
     cost = complexity_report(test_ds.M, test_ds.N, preamble=PreambleConfig(64),
                              models=models, repeats=25)

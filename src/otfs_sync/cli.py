@@ -1,10 +1,13 @@
-"""Command-line workbench: gen / train / eval / sweep / complexity / info.
+"""Command-line workbench: gen / train / eval / complexity / info.
 
-``eval``, ``sweep`` and ``complexity`` take trained heads as one
-``--weights PATH [PATH ...]`` list, in any order: each file goes where the
-head in its own metadata says, and a method whose heads
-(``metrics.METHOD_HEADS``) are not all there is refused before any
-estimate runs.
+``eval --method`` takes one or more methods and prints, for each in turn,
+its per-channel, per-SNR rows on the test split and then its overall row
+(``channel_id`` -1, ``snr_db`` nan): ``metrics.sweep``.
+
+``eval`` and ``complexity`` take trained heads as one ``--weights PATH
+[PATH ...]`` list, in any order: each file goes where the head in its own
+metadata says, and a method whose heads (``metrics.METHOD_HEADS``) are not
+all there is refused before any estimate runs.
 
 Exit codes: 0 success, 2 configuration error, 3 data-format error,
 4 runtime or training failure.
@@ -32,11 +35,7 @@ from .metrics import (
     complexity_csv,
     complexity_report,
     complexity_table,
-    condition_rows,
-    estimate_all,
-    overall_row,
     rows_to_csv,
-    snrs_on_grid,
     sweep,
 )
 from .nn.io import WeightsFormatError
@@ -56,9 +55,6 @@ def _check_args(args: argparse.Namespace) -> None:
     wd = getattr(args, "wd", 0.0)
     if not (np.isfinite(wd) and wd >= 0):
         raise ConfigError(f"--wd must be finite and >= 0, got {wd}")
-    step = getattr(args, "snr_step", 1.0)
-    if not step > 0:
-        raise ConfigError(f"--snr-step must be > 0, got {step}")
 
 
 def _preamble(length: int, root: int) -> np.ndarray:
@@ -161,17 +157,24 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _load_models_for(args: argparse.Namespace, ds, methods: list[str]) -> SweepModels:
-    """Only the heads and the preamble that ``methods`` use: nothing else is read or built."""
+    """Only the heads, preamble and pilot row that ``methods`` use, each
+    checked before any method is estimated: nothing else is read, built or
+    checked."""
     needed = {head for method in methods for head in METHOD_HEADS[method]}
     loaded = _load_heads(args.weights, (ds.M, ds.N), needed)
     for method in methods:
         if not loaded.keys() >= set(METHOD_HEADS[method]):
             raise ConfigError(f"{method} needs {' and '.join(METHOD_HEADS[method])} weights")
-    crosscorr = "crosscorr" in methods
-    preamble = _preamble(args.preamble_length, args.preamble_root) if crosscorr else None
-    pilot_row = args.pilot_row if args.pilot_row is not None else ds.M // 2
-    if not 0 <= pilot_row < ds.M:
-        raise ConfigError(f"--pilot-row must lie in [0, {ds.M}), got {pilot_row}")
+    preamble = pilot_row = None
+    if "crosscorr" in methods:
+        preamble = _preamble(args.preamble_length, args.preamble_root)
+        if args.preamble_length > ds.M * ds.N:
+            raise ConfigError(f"the {args.preamble_length}-sample preamble is longer than "
+                              f"the {ds.M * ds.N}-sample window")
+    if "autocorr2d" in methods:
+        pilot_row = args.pilot_row if args.pilot_row is not None else ds.M // 2
+        if not 0 <= pilot_row < ds.M:
+            raise ConfigError(f"--pilot-row must lie in [0, {ds.M}), got {pilot_row}")
     return SweepModels(
         preamble=preamble,
         preamble_offset=-(args.preamble_length + ds.L_CP),
@@ -182,31 +185,8 @@ def _load_models_for(args: argparse.Namespace, ds, methods: list[str]) -> SweepM
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     _, test_ds = _read_split(args.dataset, need_train=False)
-    models = _load_models_for(args, test_ds, [args.method])
-    theta_hat = estimate_all(test_ds, args.method, models, args.batch)
-    rows = condition_rows(test_ds, args.method, theta_hat)
-    rows.append(overall_row(test_ds, args.method, theta_hat))
-    return _write_out(args.out, rows_to_csv(rows), f"{len(rows)} rows")
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if not methods:
-        raise ConfigError(f"--methods names no method; choose from {METHODS}")
-    for m in methods:
-        if m not in METHODS:
-            raise ConfigError(f"unknown method {m!r}; choose from {METHODS}")
-    _, test_ds = _read_split(args.dataset, need_train=False)
-    models = _load_models_for(args, test_ds, methods)
-    snr_values = None
-    if args.snr_min is not None or args.snr_max is not None:
-        lo = args.snr_min if args.snr_min is not None else float(np.min(test_ds.snr_db))
-        hi = args.snr_max if args.snr_max is not None else float(np.max(test_ds.snr_db))
-        try:
-            snr_values = snrs_on_grid(test_ds.snr_db, lo, hi, args.snr_step)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    rows = sweep(test_ds, methods, models, snr_values=snr_values, batch_size=args.batch)
+    models = _load_models_for(args, test_ds, args.method)
+    rows = sweep(test_ds, args.method, models, args.batch)
     return _write_out(args.out, rows_to_csv(rows), f"{len(rows)} rows")
 
 
@@ -293,29 +273,18 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--weights", nargs="+", default=[], metavar="PATH",
                         help="weights files in any order, at most one per head")
 
-    def add_eval_flags(sp):
-        sp.add_argument("--dataset", required=True)
-        add_weights_flag(sp)
-        sp.add_argument("--batch", type=int, default=256)
-        sp.add_argument("--preamble-length", type=int, default=256)
-        sp.add_argument("--preamble-root", type=int, default=25)
-        sp.add_argument("--pilot-row", type=int, default=None,
-                        help="pilot delay row (default M//2)")
-        sp.add_argument("--out", help="CSV output path (default: stdout)")
-
-    e = sub.add_parser("eval", help="evaluate one method on a dataset's test split")
-    e.add_argument("--method", required=True, choices=list(METHODS))
-    add_eval_flags(e)
+    e = sub.add_parser("eval", help="per-channel, per-SNR and overall metrics of one or "
+                                    "more methods on a dataset's test split")
+    e.add_argument("--method", required=True, nargs="+", choices=METHODS)
+    e.add_argument("--dataset", required=True)
+    add_weights_flag(e)
+    e.add_argument("--batch", type=int, default=256)
+    e.add_argument("--preamble-length", type=int, default=PreambleConfig.length)
+    e.add_argument("--preamble-root", type=int, default=PreambleConfig.root)
+    e.add_argument("--pilot-row", type=int, default=None,
+                   help="pilot delay row (default M//2)")
+    e.add_argument("--out", help="CSV output path (default: stdout)")
     e.set_defaults(func=_cmd_eval)
-
-    s = sub.add_parser("sweep", help="per-channel, per-SNR metric table")
-    s.add_argument("--methods", required=True,
-                   help="comma-separated subset of " + ",".join(METHODS))
-    s.add_argument("--snr-min", type=float, default=None)
-    s.add_argument("--snr-max", type=float, default=None)
-    s.add_argument("--snr-step", type=float, default=2.0)
-    add_eval_flags(s)
-    s.set_defaults(func=_cmd_sweep)
 
     c = sub.add_parser("complexity", help="analytic FLOPs / params / measured runtime, "
                                           "and each head's per-layer FLOPs")

@@ -14,9 +14,11 @@ A config document looks like::
       "sample_rate_hz": 1.0e7
     }
 
-Every key is optional and falls back to the dataclass default; the two
-counts and the seed must be JSON integers.  Channels may be preset labels
-("awgn", "rayleigh", "eva"), preset ids (1, 2, 3) or inline custom profiles
+Every key is optional and falls back to the dataclass default (the three
+preset channels, the frame's default pilot, no preamble); the two counts
+and the seed must be JSON integers, and the channel list must not be
+empty.  Channels may be preset labels ("awgn", "rayleigh", "eva"), preset
+ids (1, 2, 3) or inline custom profiles
 ``{"delays_ns": [...], "gains_db": [...], "max_doppler_hz": ..., "label": "..."}``.
 """
 
@@ -80,34 +82,31 @@ def parse_dataset_config(doc: dict) -> DatasetConfig:
         frame_doc = doc.get("frame", {})
         _require_keys(frame_doc, {"M", "N", "L_CP", "mod_order"}, "frame")
         frame = FrameConfig(**frame_doc)
+        kwargs: dict[str, Any] = {}
 
         pilot_doc = doc.get("pilot")
-        if pilot_doc is None:
-            pilot = PilotConfig.for_frame(frame)
-        else:
+        if pilot_doc is not None:
             _require_keys(pilot_doc, {"m_p", "n_p", "amplitude", "guard_halfwidth"}, "pilot")
-            pilot = PilotConfig(**pilot_doc)
+            kwargs["pilot"] = PilotConfig(**pilot_doc)
 
-        channels = tuple(_parse_channel(c) for c in doc.get("channels", [1, 2, 3]))
+        if "channels" in doc:
+            kwargs["channels"] = tuple(_parse_channel(c) for c in doc["channels"])
 
         pre_doc = doc.get("preamble")
-        preamble = None
         if pre_doc is not None:
             _require_keys(pre_doc, {"length", "root"}, "preamble")
-            preamble = PreambleConfig(**pre_doc)
+            kwargs["preamble"] = PreambleConfig(**pre_doc)
 
-        integers = ("samples_per_channel", "blocks_per_frame", "global_seed")
-        kwargs: dict[str, Any] = {key: doc[key] for key in integers if key in doc}
-        for key, value in kwargs.items():
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{key} must be an integer, got {value!r}")
+        for key in ("samples_per_channel", "blocks_per_frame", "global_seed"):
+            if key in doc:
+                value = kwargs[key] = doc[key]
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise ConfigError(f"{key} must be an integer, got {value!r}")
         if "sample_rate_hz" in doc:
             kwargs["sample_rate_hz"] = float(doc["sample_rate_hz"])
         if "snr_grid_db" in doc:
             kwargs["snr_grid_db"] = tuple(float(s) for s in doc["snr_grid_db"])
-        return DatasetConfig(
-            frame=frame, pilot=pilot, channels=channels, preamble=preamble, **kwargs
-        )
+        return DatasetConfig(frame=frame, **kwargs)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:

@@ -111,7 +111,7 @@ class DatasetConfig:
 
     frame: FrameConfig = field(default_factory=FrameConfig)
     pilot: PilotConfig | None = None
-    channels: tuple[ChannelProfile, ...] = ()
+    channels: tuple[ChannelProfile, ...] = tuple(PROFILES_BY_ID.values())
     snr_grid_db: tuple[float, ...] = DEFAULT_SNR_GRID_DB
     samples_per_channel: int = 30000
     blocks_per_frame: int = 1
@@ -121,11 +121,7 @@ class DatasetConfig:
 
     def __post_init__(self) -> None:
         if not self.channels:
-            object.__setattr__(
-                self,
-                "channels",
-                tuple(PROFILES_BY_ID[i] for i in (1, 2, 3)),
-            )
+            raise ValueError("channels must not be empty")
         if self.pilot is None:
             object.__setattr__(self, "pilot", PilotConfig.for_frame(self.frame))
         self.pilot.validate_against(self.frame)

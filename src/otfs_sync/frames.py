@@ -206,7 +206,7 @@ def deserialize_time(signal: np.ndarray, frame: FrameConfig) -> np.ndarray:
     return x.reshape((frame.M, frame.N), order="F")
 
 
-def zadoff_chu(length: int, root: int = 25) -> np.ndarray:
+def zadoff_chu(length: int, root: int) -> np.ndarray:
     """Constant-amplitude polyphase preamble sequence.
 
     Uses the even/odd Zadoff-Chu phase laws; the root must be coprime with

@@ -1,4 +1,4 @@
-"""Estimator scoring, per-condition sweeps, and complexity accounting.
+"""Estimator scoring, per-method metric tables, and complexity accounting.
 
 Accuracy is exact match between the wrapped estimate and the wrapped truth.
 RMSE uses the wrap-minimal error
@@ -128,59 +128,15 @@ def estimate_all(ds: Dataset, method: str, models: SweepModels,
     raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
 
 
-# how far (dB) an SNR may sit from a requested value and still count as it
-SNR_TOL_DB = 1e-6
-
-
-def snrs_on_grid(snrs: np.ndarray, lo: float, hi: float, step: float) -> list[float]:
-    """The distinct values of ``snrs`` within :data:`SNR_TOL_DB` of a point
-    of the grid ``lo, lo + step, ...`` up to ``hi`` (inclusive to half a
-    step), found without building the grid, however fine it is.
-
-    Raises ``ValueError`` for non-finite bounds, ``lo > hi``, a step that is
-    not positive, or a step too small to index ``[lo, hi]``.
-    """
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise ValueError(f"SNR grid bounds must be finite, got [{lo}, {hi}]")
-    if lo > hi:
-        raise ValueError(f"--snr-min {lo} exceeds --snr-max {hi}")
-    if not step > 0:
-        raise ValueError(f"--snr-step must be > 0, got {step}")
-    count = np.ceil((hi + step / 2 - lo) / step)
-    if not np.isfinite(count):
-        raise ValueError(f"--snr-step {step} cannot index [{lo}, {hi}]")
-    kept = []
-    for s in np.unique(snrs).tolist():
-        k = np.rint((s - lo) / step)
-        if 0 <= k < count and abs(s - (lo + k * step)) < SNR_TOL_DB:
-            kept.append(s)
-    return kept
-
-
-def condition_rows(
-    test: Dataset,
-    method: str,
-    theta_hat: np.ndarray,
-    snr_values: list[float] | None = None,
-) -> list[MetricsRow]:
+def condition_rows(test: Dataset, method: str, theta_hat: np.ndarray) -> list[MetricsRow]:
     """Per (channel, SNR) metrics of one method's estimates ``theta_hat``
-    over every record of ``test``, in increasing channel id, then SNR.
-
-    ``snr_values``, when given, keeps only the SNRs within
-    :data:`SNR_TOL_DB` of one of its entries.
-    """
+    over every record of ``test``, in increasing channel id, then SNR."""
     MN = test.M * test.N
     rows: list[MetricsRow] = []
     for cid in sorted(np.unique(test.channel_id).tolist()):
         ch_mask = test.channel_id == cid
-        snrs = sorted(np.unique(test.snr_db[ch_mask]).tolist())
-        for snr in snrs:
-            if snr_values is not None and not any(
-                abs(snr - s) < SNR_TOL_DB for s in snr_values
-            ):
-                continue
-            mask = ch_mask & (test.snr_db == snr)
-            idx = np.flatnonzero(mask)
+        for snr in sorted(np.unique(test.snr_db[ch_mask]).tolist()):
+            idx = np.flatnonzero(ch_mask & (test.snr_db == snr))
             rows.append(MetricsRow(
                 method=method,
                 channel_id=int(cid),
@@ -193,24 +149,20 @@ def condition_rows(
     return rows
 
 
-def sweep(
-    test: Dataset,
-    methods: list[str],
-    models: SweepModels,
-    snr_values: list[float] | None = None,
-    batch_size: int = 256,
-) -> list[MetricsRow]:
-    """Per (channel, SNR) metrics of each method on held-out records.
+def sweep(test: Dataset, methods: list[str], models: SweepModels,
+          batch_size: int = 256) -> list[MetricsRow]:
+    """Each method's metrics on held-out records, one block per method in
+    the order of ``methods``: its per (channel, SNR) rows
+    (:func:`condition_rows`), then its overall row (:func:`overall_row`).
 
-    ``test`` must already be the test partition.  Methods are estimated
-    once each and their rows come back in the order of ``methods``; within
-    a method, rows run in increasing channel id, then SNR
-    (:func:`condition_rows`).
+    ``test`` must already be the test partition.  Each method is estimated
+    once.
     """
     rows: list[MetricsRow] = []
     for method in methods:
         theta_hat = estimate_all(test, method, models, batch_size)
-        rows.extend(condition_rows(test, method, theta_hat, snr_values))
+        rows.extend(condition_rows(test, method, theta_hat))
+        rows.append(overall_row(test, method, theta_hat))
     return rows
 
 

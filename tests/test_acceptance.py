@@ -62,7 +62,7 @@ from otfs_sync.frames import (
     toy_frame_config,
     zadoff_chu,
 )
-from otfs_sync.metrics import SweepModels, accuracy, rmse, sweep
+from otfs_sync.metrics import SweepModels, accuracy, condition_rows, estimate_all, rmse
 from otfs_sync.nn import check_layer
 from otfs_sync.nn.layers import BatchNorm1d, Conv1d, Flatten, Linear, MaxPool1d, ReLU
 from otfs_sync.nn.model import (
@@ -445,7 +445,7 @@ def test_10_snr_monotonicity(two_stage):
     )
     eval_ds = generate_dataset(eval_cfg)
     models = SweepModels(coarse=two_stage.coarse, fine=two_stage.fine)
-    rows = sweep(eval_ds, ["resnet2stage"], models)
+    rows = condition_rows(eval_ds, "resnet2stage", estimate_all(eval_ds, "resnet2stage", models))
     elapsed = time.perf_counter() - t0
     assert [r.snr_db for r in rows] == [-10.0, 0.0, 10.0, 20.0]
     accs = [r.accuracy for r in rows]

@@ -141,7 +141,6 @@ class TestHappyPath:
         assert any(l.startswith("resnet2stage,-1,") for l in lines), "overall row"
 
     def test_eval_estimates_once(self, workdir, capsys, monkeypatch):
-        import otfs_sync.cli as cli_mod
         import otfs_sync.metrics as metrics_mod
 
         calls = []
@@ -151,18 +150,16 @@ class TestHappyPath:
             calls.append(args[1])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(cli_mod, "estimate_all", counting)
         monkeypatch.setattr(metrics_mod, "estimate_all", counting)
-        argv = ["--dataset", str(workdir["dataset"]),
-                "--weights", str(workdir["coarse"]), str(workdir["fine"])]
-        assert main(["eval", "--method", "resnet2stage", *argv]) == 0
-        assert calls == ["resnet2stage"]
-        eval_lines = capsys.readouterr().out.strip().split("\n")
-        # the per-condition rows are the ones a one-method sweep prints
-        assert main(["sweep", "--methods", "resnet2stage", *argv]) == 0
-        sweep_lines = capsys.readouterr().out.strip().split("\n")
-        assert eval_lines[:-1] == sweep_lines
-        assert eval_lines[-1].startswith("resnet2stage,-1,")
+        methods = ["resnet2stage", "autocorr2d", "crosscorr", "resnet1stage"]
+        assert main(["eval", "--method", *methods, "--dataset", str(workdir["dataset"]),
+                     "--weights", *(str(workdir[h]) for h in ("coarse", "fine", "onestage")),
+                     "--preamble-length", "16", "--preamble-root", "5"]) == 0
+        assert calls == methods
+        # one block per method: its (channel 1, 20 dB) row, then its overall row
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+        assert [(r[0], r[1], r[2]) for r in rows] == [
+            (m, cid, snr) for m in methods for cid, snr in (("1", "20"), ("-1", "nan"))]
 
     def test_eval_classic_methods_to_file(self, workdir):
         out_csv = workdir["root"] / "classic.csv"
@@ -176,20 +173,30 @@ class TestHappyPath:
         assert text.startswith("method,channel_id")
         assert "autocorr2d" in text
 
-    def test_sweep_multiple_methods(self, workdir, capsys):
-        assert main([
-            "sweep", "--methods", "crosscorr,autocorr2d,resnet2stage",
-            "--dataset", str(workdir["dataset"]),
-            "--weights", str(workdir["coarse"]), str(workdir["fine"]),
-            "--preamble-length", "16", "--preamble-root", "5",
-        ]) == 0
-        rows = capsys.readouterr().out.strip().split("\n")[1:]
-        methods = {r.split(",")[0] for r in rows}
-        assert methods == {"crosscorr", "autocorr2d", "resnet2stage"}
+    def test_multi_method_eval_is_the_single_method_outputs(self, workdir, tmp_path, capsys):
+        argv = ["--dataset", str(workdir["dataset"]),
+                "--weights", *(str(workdir[h]) for h in ("coarse", "fine", "onestage")),
+                "--preamble-length", "16", "--preamble-root", "5"]
+        out = tmp_path / "rows.csv"
+
+        def csv_for(*methods):
+            assert main(["eval", "--method", *methods, *argv]) == 0
+            printed = capsys.readouterr().out
+            assert main(["eval", "--method", *methods, *argv, "--out", str(out)]) == 0
+            rows = len(printed.splitlines()) - 1
+            assert capsys.readouterr().out == f"wrote {rows} rows to {out}\n"
+            assert out.read_text() == printed
+            return printed
+
+        methods = ["resnet1stage", "crosscorr", "resnet2stage", "autocorr2d"]
+        singles = [csv_for(m) for m in methods]
+        header = "method,channel_id,snr_db,count,accuracy,rmse,rmse_raw\n"
+        assert all(text.startswith(header) for text in singles)
+        assert csv_for(*methods) == header + "".join(t[len(header):] for t in singles)
 
     @pytest.mark.parametrize("command", [
         ["eval", "--method", "resnet2stage"],
-        ["sweep", "--methods", "resnet1stage,resnet2stage"],
+        ["eval", "--method", "resnet1stage", "resnet2stage"],
     ])
     def test_weights_come_in_any_order(self, workdir, capsys, command):
         def csv_for(*heads):
@@ -251,7 +258,7 @@ class TestHappyPath:
         commands = [line for line in block.replace("\\\n", " ").splitlines()
                     if line.startswith("otfs-sync ")]
         assert {shlex.split(c)[1] for c in commands} >= {
-            "gen", "train", "eval", "sweep", "complexity", "info"}
+            "gen", "train", "eval", "complexity", "info"}
         parser = build_parser()
         for command in commands:
             try:
@@ -266,27 +273,38 @@ class TestHappyPath:
         options = {name: sorted(flag for a in sub._actions for flag in a.option_strings
                                 if flag not in ("-h", "--help"))
                    for name, sub in commands.items()}
-        eval_flags = ["--batch", "--dataset", "--out", "--pilot-row", "--preamble-length",
-                      "--preamble-root", "--weights"]
         assert options == {
             "gen": ["--config", "--out", "--seed"],
             "train": ["--batch", "--coarse-weights", "--dataset", "--epochs", "--lr",
                       "--out-weights", "--seed", "--stage", "--wd"],
-            "eval": sorted(["--method", *eval_flags]),
-            "sweep": sorted(["--methods", "--snr-max", "--snr-min", "--snr-step",
-                             *eval_flags]),
+            "eval": ["--batch", "--dataset", "--method", "--out", "--pilot-row",
+                     "--preamble-length", "--preamble-root", "--weights"],
             "complexity": ["--config", "--no-runtime", "--out", "--repeats", "--weights"],
             "info": ["--dataset", "--weights"],
         }
 
-    @pytest.mark.parametrize("command", [["eval", "--method"], ["sweep", "--methods"]])
+    @pytest.mark.parametrize("command", [["eval", "--method", "autocorr2d"],
+                                         ["eval", "--method", "resnet1stage", "autocorr2d"]])
     def test_no_preamble_is_built_without_crosscorr(self, workdir, capsys, command):
         # before: root 25 is not coprime with length 250, so a preamble that
-        # autocorr2d never reads was refused with exit 2
-        argv = [*command, "autocorr2d", "--dataset", str(workdir["dataset"])]
+        # autocorr2d never reads was refused with exit 2; neither is a
+        # preamble longer than the 32-sample window checked without crosscorr
+        argv = [*command, "--dataset", str(workdir["dataset"]),
+                "--weights", str(workdir["onestage"])]
         assert main(argv) == 0
         want = capsys.readouterr().out
-        assert main([*argv, "--preamble-length", "250"]) == 0
+        for extra in (["--preamble-length", "250"], ["--preamble-length", "33"]):
+            assert main([*argv, *extra]) == 0
+            assert capsys.readouterr().out == want
+
+    def test_no_pilot_row_is_checked_without_autocorr2d(self, workdir, capsys):
+        # before: a pilot row past the 8-row grid, which crosscorr never
+        # reads, was refused with exit 2
+        argv = ["eval", "--method", "crosscorr", "--dataset", str(workdir["dataset"]),
+                "--preamble-length", "16", "--preamble-root", "5"]
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+        assert main([*argv, "--pilot-row", "99"]) == 0
         assert capsys.readouterr().out == want
 
     def test_only_the_heads_the_methods_use_are_loaded(self, workdir, tmp_path, capsys,
@@ -308,7 +326,8 @@ class TestHappyPath:
         for command, used in (
             (["eval", "--method", "resnet2stage"], ["coarse", "fine"]),
             (["eval", "--method", "resnet1stage"], ["onestage"]),
-            (["sweep", "--methods", "autocorr2d"], []),
+            (["eval", "--method", "autocorr2d"], []),
+            (["eval", "--method", "autocorr2d", "resnet1stage"], ["onestage"]),
         ):
             loaded.clear()
             assert main([*command, *dataset, "--weights", *heads.values()]) == 0
@@ -428,18 +447,6 @@ class TestHappyPath:
         assert "records" in proc.stdout
 
 
-@pytest.fixture(scope="module")
-def snr_dataset(tmp_path_factory):
-    """A tiny dataset over three SNRs, for the sweep's SNR grid."""
-    root = tmp_path_factory.mktemp("snr")
-    cfg_path = root / "snr.json"
-    cfg_path.write_text(json.dumps({**TINY_CONFIG, "snr_grid_db": [0, 10, 20],
-                                    "samples_per_channel": 60}))
-    ds_path = root / "snr.otfsds"
-    assert main(["gen", "--config", str(cfg_path), "--out", str(ds_path)]) == 0
-    return ds_path
-
-
 class TestExitCodes:
     def test_missing_config_is_2(self, tmp_path):
         assert main(["gen", "--config", str(tmp_path / "none.json"),
@@ -526,27 +533,51 @@ class TestExitCodes:
     ])
     def test_method_missing_a_head_is_2_before_estimating(self, workdir, capsys, monkeypatch,
                                                          method, heads, missing):
-        import otfs_sync.cli as cli_mod
+        import otfs_sync.metrics as metrics_mod
 
         calls = []
-        monkeypatch.setattr(cli_mod, "estimate_all", lambda *args, **kw: calls.append(args))
-        assert main(["sweep", "--methods", f"autocorr2d,{method}",
+        monkeypatch.setattr(metrics_mod, "estimate_all", lambda *args, **kw: calls.append(args))
+        assert main(["eval", "--method", "autocorr2d", method,
                      "--dataset", str(workdir["dataset"]),
                      "--weights", *(str(workdir[h]) for h in heads)]) == 2
         assert calls == []
         assert f"{method} needs {missing} weights" in capsys.readouterr().err
 
-    def test_unknown_sweep_method_is_2(self, workdir):
-        assert main([
-            "sweep", "--methods", "telepathy",
-            "--dataset", str(workdir["dataset"]),
-        ]) == 2
-
-    def test_sweep_without_a_method_is_2(self, workdir, capsys):
-        # before: a header-only CSV, exit 0
-        assert main(["sweep", "--methods", ",", "--dataset", str(workdir["dataset"])]) == 2
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--methods", "autocorr2d"],             # the command is gone
+        ["eval", "--method"],
+        ["eval", "--method", "autocorr2d", "telepathy"],
+    ], ids=["sweep", "no-method", "unknown-method"])
+    def test_bad_method_list_is_2(self, workdir, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--dataset", str(workdir["dataset"])])
+        assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert "names no method" in captured.err and captured.out == ""
+        assert captured.out == "" and "usage:" in captured.err
+
+    def test_preamble_longer_than_the_window_is_2_before_estimating(self, workdir, capsys,
+                                                                   monkeypatch):
+        # before: exit 4 from crosscorr, after every earlier method had run
+        import otfs_sync.metrics as metrics_mod
+
+        calls = []
+        monkeypatch.setattr(metrics_mod, "estimate_all", lambda *args, **kw: calls.append(args))
+        assert main(["eval", "--method", "autocorr2d", "crosscorr",
+                     "--dataset", str(workdir["dataset"]),
+                     "--preamble-length", "33", "--preamble-root", "5"]) == 2
+        assert calls == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "the 33-sample preamble is longer than the 32-sample window" in captured.err
+
+    def test_empty_channel_list_is_2(self, tmp_path, capsys):
+        # before: the three preset channels, 3 x samples_per_channel records
+        cfg = tmp_path / "none.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "channels": []}))
+        out = tmp_path / "none.otfsds"
+        assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "channels must not be empty" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,value", [
         ("samples_per_channel", 1.5), ("global_seed", 7.9), ("blocks_per_frame", True),
@@ -581,7 +612,7 @@ class TestExitCodes:
             ([*train, "--dataset", str(one)], "0 training and 1 test records"),
             (["eval", "--method", "autocorr2d", "--dataset", str(empty)],
              "0 training and 0 test records"),
-            (["sweep", "--methods", "autocorr2d", "--dataset", str(empty)],
+            (["eval", "--method", "autocorr2d", "crosscorr", "--dataset", str(empty)],
              "0 training and 0 test records"),
         ):
             assert main(argv) == 2, argv
@@ -713,12 +744,17 @@ class TestExitCodes:
         ]) == 2
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag,value", [("--batch", "0")])
-    def test_bad_eval_option_is_2(self, workdir, flag, value):
+    @pytest.mark.parametrize("flag,value", [
+        ("--batch", "0"),
+        ("--pilot-row", "99"),                   # past the 8-row grid: silently row 3
+    ])
+    def test_bad_eval_option_is_2(self, workdir, capsys, flag, value):
         assert main([
             "eval", "--method", "autocorr2d",
             "--dataset", str(workdir["dataset"]), flag, value,
         ]) == 2
+        captured = capsys.readouterr()
+        assert "config error" in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("flag", ["--batch", "--epochs"])
     def test_bad_train_option_is_2(self, workdir, flag):
@@ -778,50 +814,6 @@ class TestExitCodes:
         cfg = tmp_path / "p25.json"
         cfg.write_text(json.dumps({**TINY_CONFIG, "preamble": {"length": 25, "root": 5}}))
         assert main(["complexity", "--config", str(cfg), "--repeats", "1"]) == 2
-
-    @pytest.mark.parametrize("extra", [
-        ["--snr-min", "0", "--snr-step", "0"],   # np.arange divided by zero: exit 4
-        ["--snr-step", "-2"],                    # an empty SNR grid: header-only CSV, exit 0
-        ["--pilot-row", "99"],                   # past the 8-row grid: silently row 3
-    ])
-    def test_bad_sweep_option_is_2(self, workdir, capsys, extra):
-        assert main([
-            "sweep", "--methods", "autocorr2d",
-            "--dataset", str(workdir["dataset"]), *extra,
-        ]) == 2
-        captured = capsys.readouterr()
-        assert "config error" in captured.err and captured.out == ""
-
-    @pytest.mark.parametrize("extra", [
-        ["--snr-min", "5", "--snr-max", "0"],    # an empty SNR grid: header-only CSV, exit 0
-        ["--snr-min", "nan"],                    # np.arange on NaN: exit 4
-        ["--snr-max", "inf"],                    # np.arange to infinity: exit 4
-        ["--snr-min", "0", "--snr-max", "20", "--snr-step", "inf"],
-    ])
-    def test_bad_snr_grid_is_2(self, snr_dataset, capsys, extra):
-        assert main([
-            "sweep", "--methods", "autocorr2d", "--dataset", str(snr_dataset), *extra,
-        ]) == 2
-        captured = capsys.readouterr()
-        assert "config error" in captured.err and captured.out == ""
-
-    def test_fine_snr_grid_is_not_built(self, snr_dataset, capsys):
-        import time
-
-        def rows(*extra):
-            assert main(["sweep", "--methods", "autocorr2d",
-                         "--dataset", str(snr_dataset), *extra]) == 0
-            return capsys.readouterr().out
-
-        coarse = rows("--snr-min", "0", "--snr-max", "20", "--snr-step", "10")
-        assert [line.split(",")[2] for line in coarse.splitlines()[1:]] == ["0", "10", "20"]
-        t0 = time.perf_counter()
-        # 1e18 grid points: before, a 6.94 EiB allocation (MemoryError, exit 4)
-        fine = rows("--snr-min", "0", "--snr-max", "1e9", "--snr-step", "1e-9")
-        assert time.perf_counter() - t0 < 10.0
-        assert fine == coarse
-        assert rows("--snr-min", "5", "--snr-max", "15", "--snr-step", "5").splitlines()[1:] == [
-            line for line in coarse.splitlines()[1:] if line.split(",")[2] == "10"]
 
     def test_runtime_value_error_is_4(self, workdir, capsys, monkeypatch):
         import otfs_sync.metrics as metrics_mod

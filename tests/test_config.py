@@ -59,6 +59,11 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_dataset_config({"channels": [9]})
 
+    def test_empty_channel_list(self):
+        # before: the three presets, 90,000 records at the default scale
+        with pytest.raises(ConfigError, match="channels must not be empty"):
+            parse_dataset_config({"channels": []})
+
     def test_invalid_geometry_becomes_config_error(self):
         with pytest.raises(ConfigError):
             parse_dataset_config({"frame": {"M": 12, "N": 8}})

@@ -384,6 +384,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             _toy_config(samples_per_channel=0)
 
+    def test_empty_channel_list_rejected(self):
+        with pytest.raises(ValueError, match="channels must not be empty"):
+            _toy_config(channels=())
+
     @pytest.mark.parametrize("seed", [-5, -1, 2**64, 2**70])
     def test_seed_outside_the_header_field_rejected(self, seed):
         # the header stores the seed as a u64

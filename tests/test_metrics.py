@@ -1,4 +1,4 @@
-"""Scoring math, sweep table shape, and the complexity report."""
+"""Scoring math, the per-method metric table, and the complexity report."""
 
 import tracemalloc
 
@@ -20,7 +20,6 @@ from otfs_sync.metrics import (
     rmse,
     rmse_raw,
     rows_to_csv,
-    snrs_on_grid,
     sweep,
     wrapped_error,
 )
@@ -232,33 +231,31 @@ class TestSweep:
     def test_rows_grouped_and_sorted(self):
         ds = _dataset(channels=(AWGN_PROFILE, RAYLEIGH_PROFILE), snrs=(0.0, 10.0),
                       samples=16, seed=3)
-        rows = sweep(ds, ["resnet2stage"], self._oracle_models(ds))
+        *rows, overall = sweep(ds, ["resnet2stage"], self._oracle_models(ds))
         keys = [(r.method, r.channel_id, r.snr_db) for r in rows]
         assert keys == sorted(keys)
         assert {r.channel_id for r in rows} == {1, 2}
         assert {r.snr_db for r in rows} == {0.0, 10.0}
         assert sum(r.count for r in rows) == len(ds)
+        assert (overall.method, overall.channel_id, overall.count) == ("resnet2stage", -1, len(ds))
 
     def test_oracle_models_score_perfectly(self):
         ds = _dataset(samples=10, seed=4)
         for row in sweep(ds, ["resnet2stage"], self._oracle_models(ds)):
             assert row.accuracy == 1.0 and row.rmse == 0.0
 
-    def test_snr_filter(self):
-        ds = _dataset(snrs=(0.0, 10.0, 20.0), samples=12, seed=5)
-        rows = sweep(ds, ["resnet2stage"], self._oracle_models(ds), snr_values=[10.0])
-        assert all(r.snr_db == 10.0 for r in rows)
-        assert rows, "filter must keep the requested level"
-
-    def test_snrs_on_grid(self):
-        snrs = np.array([0.0, 10.0, 10.0, 20.0, 20.0 + 1e-7, 25.0], dtype=np.float64)
-        assert snrs_on_grid(snrs, 0.0, 20.0, 10.0) == [0.0, 10.0, 20.0, 20.0 + 1e-7]
-        assert snrs_on_grid(snrs, 5.0, 15.0, 5.0) == [10.0]
-        assert snrs_on_grid(snrs, 0.0, 1e9, 1e-9) == snrs_on_grid(snrs, 0.0, 1e9, 5.0)
-        for lo, hi, step in ((5.0, 0.0, 1.0), (np.nan, 1.0, 1.0), (0.0, np.inf, 1.0),
-                             (0.0, 1.0, 0.0), (0.0, 1e300, 1e-300)):
-            with pytest.raises(ValueError):
-                snrs_on_grid(snrs, lo, hi, step)
+    def test_one_block_per_method(self):
+        # each method's condition rows, then its overall row, in the order asked
+        ds = _dataset(channels=(AWGN_PROFILE, RAYLEIGH_PROFILE), samples=8, seed=8)
+        models = SweepModels(coarse=FixedModel(ds.M, ds.N, ds.theta_t),
+                             fine=FixedModel(ds.M, ds.N, ds.theta_d),
+                             onestage=FixedModel(ds.M, ds.N, ds.theta_wrapped))
+        rows = sweep(ds, ["resnet1stage", "resnet2stage"], models)
+        conditions = [(1, 0.0), (1, 20.0), (2, 0.0), (2, 20.0), (-1, None)]
+        assert [(r.method, r.channel_id) for r in rows] == [
+            (m, cid) for m in ("resnet1stage", "resnet2stage") for cid, _ in conditions]
+        assert [r.snr_db for r in rows[:4]] == [snr for _, snr in conditions[:4]]
+        assert [r.count for r in rows if r.channel_id == -1] == [len(ds)] * 2
 
     def test_csv_round_trip(self):
         ds = _dataset(samples=6, seed=6)
