@@ -16,7 +16,10 @@ and the analytic cost table.  Everything lands in --outdir:
     *.weights.train.jsonl       per-epoch training reports
     metrics.csv                 per method: its per-channel/per-SNR rows, then
                                 its overall row (channel_id -1)
-    complexity.csv              FLOPs / params / runtime per method
+    complexity.csv              FLOPs / params / runtime per method, for the
+                                preamble and pilot row of --config (the
+                                default preamble if it names none), as
+                                `otfs-sync complexity --config` counts them
 
 The defaults reproduce the shipped acceptance numbers (~0.999 two-stage
 accuracy, RMSE ~1 sample) in about three minutes (181 s on a 2-vCPU Xeon host).
@@ -32,8 +35,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from otfs_sync.config import ConfigError, load_dataset_config
-from otfs_sync.dataset import PreambleConfig, read_dataset, write_dataset
+from otfs_sync.config import ConfigError, complexity_settings, load_dataset_config
+from otfs_sync.dataset import read_dataset, write_dataset
 from otfs_sync.metrics import (
     SweepModels,
     complexity_csv,
@@ -61,6 +64,7 @@ def parse_args() -> argparse.Namespace:
     args = ap.parse_args()
     try:
         args.cfg = load_dataset_config(args.config)
+        args.cost_settings = complexity_settings(args.cfg)
     except ConfigError as exc:
         ap.error(str(exc))
     return args
@@ -113,7 +117,8 @@ def main() -> int:
         if row.channel_id == -1:
             print(f"  {row.method:<14} accuracy {row.accuracy:.4f}  rmse {row.rmse:.3f}")
 
-    cost = complexity_report(test_ds.M, test_ds.N, preamble=PreambleConfig(64),
+    preamble, pilot_row = args.cost_settings
+    cost = complexity_report(test_ds.M, test_ds.N, preamble=preamble, pilot_row=pilot_row,
                              models=models, repeats=25)
     (outdir / "complexity.csv").write_text(complexity_csv(cost))
     print("\n" + complexity_table(cost, test_ds.M, test_ds.N), end="")

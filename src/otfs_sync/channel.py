@@ -26,6 +26,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -186,8 +187,15 @@ def apply_fading(x: np.ndarray, ch: ChannelRealization, start: int = 0) -> np.nd
     whole stream at ``lo + max(taps)`` onward.  The rotations equal the
     direct exponential above to rounding, not bitwise.  A zero-Doppler path
     rotates by the constant ``exp(1j*phases[i])``.
+
+    The shared identity realization of the AWGN profile returns ``x + 0.0``
+    as complex: bitwise the sum above, whose ``0 + 1*x`` also turns a -0
+    part into +0.  It changes no sample's neighbours, so it takes an array
+    of any shape, e.g. a stack of windows in one call.
     """
     x = np.asarray(x)
+    if ch is _identity_channel(ch.sample_rate_hz):
+        return np.add(x, 0.0, dtype=np.complex128)
     n = x.size
     y = np.zeros(n, dtype=np.complex128)
     for tap, gain, nu, phi in zip(ch.taps, ch.gains, ch.doppler_hz, ch.phases):
@@ -204,7 +212,8 @@ def apply_fading(x: np.ndarray, ch: ChannelRealization, start: int = 0) -> np.nd
     return y
 
 
-def apply_awgn(x: np.ndarray, snr_db: float, rng: np.random.Generator,
+def apply_awgn(x: np.ndarray, snr_db: float | Sequence[float],
+               rng: np.random.Generator | Sequence[np.random.Generator],
                out: np.ndarray | None = None) -> np.ndarray:
     """Add circular complex Gaussian noise at the given SNR.
 
@@ -217,22 +226,45 @@ def apply_awgn(x: np.ndarray, snr_db: float, rng: np.random.Generator,
     result is a new complex array, or, with ``out`` (shape ``(2, *x.shape)``,
     any real dtype), its real and imaginary planes rounded once into
     ``out[0]`` and ``out[1]``, and ``out`` is returned.
+
+    A ``(k, n)`` stack of rows takes k SNRs and a sequence of k generators,
+    and row j is bitwise ``apply_awgn(x[j], snr_db[j], rng[j])``: P_sig is
+    the same pairwise sum over the row, and each row draws from its own
+    generator.
     """
     x = np.asarray(x)
-    if math.isnan(snr_db) or snr_db == -math.inf:
-        raise ValueError(f"snr_db must be a number or +inf, got {snr_db}")
+    stack = not isinstance(rng, np.random.Generator)
+    rows, snrs, rngs = (x, snr_db, rng) if stack else (x[None], (snr_db,), (rng,))
+    for snr in snrs:
+        if math.isnan(snr) or snr == -math.inf:
+            raise ValueError(f"snr_db must be a number or +inf, got {snr}")
     y = np.empty(x.shape, dtype=np.complex128) if out is None else out
     re, im = (y.real, y.imag) if out is None else out
-    if math.isinf(snr_db):
-        re[...], im[...] = x.real, x.imag
+    if not stack:
+        re, im = re[None], im[None]
+    noisy = [j for j, snr in enumerate(snrs) if not math.isinf(snr)]
+    clean = [j for j, snr in enumerate(snrs) if math.isinf(snr)]
+    if clean:
+        re[clean], im[clean] = rows[clean].real, rows[clean].imag
+    if not noisy:
         return y
-    p_sig = float((np.abs(x) ** 2).sum()) / max(x.size, 1)  # bitwise np.mean
-    if p_sig == 0.0:
-        raise ValueError("cannot set an SNR on an all-zero signal")
-    # one draw of both planes is the real-part draw followed by the imaginary
-    noise = rng.standard_normal((2, *x.shape))
-    noise *= math.sqrt(p_sig * 10.0 ** (-snr_db / 10.0) / 2.0)
-    noise[0] += x.real
-    noise[1] += x.imag
-    re[...], im[...] = noise  # float64 sums, rounded once to the dtype of out
+    sel = slice(None) if len(noisy) == len(rows) else noisy
+    xs = rows[sel]
+    n = xs[0].size
+    # bitwise np.mean's sum over each row
+    sums = (np.abs(xs) ** 2).reshape(len(noisy), -1).sum(axis=-1)
+    draws = np.empty((len(noisy), 2, *xs.shape[1:]))
+    scale = np.empty((len(noisy),) + (1,) * (xs.ndim - 1))
+    for i, j in enumerate(noisy):
+        p_sig = float(sums[i]) / max(n, 1)
+        if p_sig == 0.0:
+            raise ValueError("cannot set an SNR on an all-zero signal")
+        scale[i] = math.sqrt(p_sig * 10.0 ** (-snrs[j] / 10.0) / 2.0)
+        # one draw of both planes is the real-part draw followed by the imaginary
+        rngs[j].standard_normal(out=draws[i])
+    noise = draws.swapaxes(0, 1)
+    noise *= scale
+    noise[0] += xs.real
+    noise[1] += xs.imag
+    re[sel], im[sel] = noise  # float64 sums, rounded once to the dtype of out
     return y

@@ -24,7 +24,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import ConfigError, load_dataset_config
+from .config import ConfigError, complexity_settings, load_dataset_config
 from .dataset import (DataFormatError, Dataset, DatasetConfig, PreambleConfig, read_dataset,
                       write_dataset)
 from .frames import zadoff_chu
@@ -184,6 +184,9 @@ def _load_models_for(args: argparse.Namespace, ds, methods: list[str]) -> SweepM
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    repeated = sorted({m for m in args.method if args.method.count(m) > 1})
+    if repeated:
+        raise ConfigError(f"--method names {', '.join(repeated)} more than once")
     _, test_ds = _read_split(args.dataset, need_train=False)
     models = _load_models_for(args, test_ds, args.method)
     rows = sweep(test_ds, args.method, models, args.batch)
@@ -193,19 +196,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_complexity(args: argparse.Namespace) -> int:
     cfg = load_dataset_config(args.config) if args.config else DatasetConfig()
     M, N = cfg.frame.M, cfg.frame.N
-    preamble = cfg.preamble or PreambleConfig()
-    if not args.no_runtime:
-        _preamble(preamble.length, preamble.root)  # the one crosscorr is timed with
-        if preamble.length > M * N:
-            raise ConfigError(f"timing crosscorr needs the {preamble.length}-sample preamble "
-                              f"within the {M * N}-sample window")
-        if M * N % 8:
-            raise ConfigError(f"timing the classifiers needs M*N divisible by 8, got {M}x{N}")
+    preamble, pilot_row = complexity_settings(cfg, measure_runtime=not args.no_runtime)
     # with no runtime measured no head runs, so no tensor data is read
     models = SweepModels(**_load_heads(args.weights, (M, N),
                                        set() if args.no_runtime else set(HEADS)))
     rows = complexity_report(
-        M, N, preamble=preamble, pilot_row=cfg.pilot.m_p,
+        M, N, preamble=preamble, pilot_row=pilot_row,
         models=models, repeats=args.repeats,
         measure_runtime=not args.no_runtime,
     )

@@ -29,7 +29,7 @@ from typing import Any
 
 from .channel import ChannelKind, ChannelProfile, PROFILES_BY_ID, PROFILES_BY_LABEL
 from .dataset import DatasetConfig, PreambleConfig
-from .frames import FrameConfig, PilotConfig
+from .frames import FrameConfig, PilotConfig, zadoff_chu
 
 
 class ConfigError(Exception):
@@ -122,3 +122,25 @@ def load_dataset_config(path: str) -> DatasetConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_dataset_config(doc)
+
+
+def complexity_settings(cfg: DatasetConfig, measure_runtime: bool = True
+                        ) -> tuple[PreambleConfig, int]:
+    """The preamble and pilot row whose costs ``otfs-sync complexity`` reports
+    for ``cfg``: its own preamble, or the default one when it has none, and
+    its pilot row.  With ``measure_runtime``, a preamble that cannot be
+    built or that overruns the M*N-sample window, or a window the
+    classifiers cannot run on (M*N not divisible by 8), is a ConfigError."""
+    M, N = cfg.frame.M, cfg.frame.N
+    preamble = cfg.preamble or PreambleConfig()
+    if measure_runtime:
+        try:
+            zadoff_chu(preamble.length, preamble.root)  # the one crosscorr is timed with
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if preamble.length > M * N:
+            raise ConfigError(f"timing crosscorr needs the {preamble.length}-sample preamble "
+                              f"within the {M * N}-sample window")
+        if M * N % 8:
+            raise ConfigError(f"timing the classifiers needs M*N divisible by 8, got {M}x{N}")
+    return preamble, cfg.pilot.m_p

@@ -18,14 +18,25 @@ three grids are drawn in stream order, but a filler is transformed to
 serial samples only when that faded span reaches it.
 
 What every capture of a configuration shares is computed once, on the first
-capture, and cached: the stream layout (where the preamble, each CP and
-payload copy and the append filler start), the Zadoff-Chu preamble, the
+capture, and cached: the stream layout (where each grid, the preamble and
+the cyclic-prefix and block copies go), the Zadoff-Chu preamble, the
 constellation, the validated guard rows and pilot cell, and the AWGN
-channel's realization.  Per record there remain the draws (labels, one
-``(3, M, N)`` symbol stack, the channel, the noise) and the arithmetic on the
-samples the window needs: one DD -> DT transform of the grids the faded span
-reaches, the copy of that span of the stream into one buffer, its fading
-and the noise.  The bytes are those of format version 3.
+channel's realization.
+
+Generation then works a chunk of one channel's records at a time: as many
+as fit ``CHUNK_BYTES`` of DD grids, and at least one, which is 85 records
+at 32 x 8 and one at 256 x 64.  Per record there remain only the draws,
+from the record's own stream and in this order: theta, the SNR, one
+``(3, M, N)`` symbol stack, the channel and the noise (none at infinite
+SNR).  The arithmetic runs once per chunk on the stacked records: symbol
+mapping and pilots, one DD -> DT transform of the grids some record's faded
+span reaches, the column-major stream of those grids, the span cuts, the
+AWGN channel's identity fading, each row's signal power and noise scaling,
+and the float32 store straight into the chunk's slice of the record array.
+A random channel fades each record's span on its own.
+:func:`synthesize_capture` is the one-record case of the same path.  FFT
+lines and row sums are bitwise the same stacked or alone, so the bytes do
+not depend on the chunk size; they are those of format version 3.
 
 Every record is generated from its own RNG stream keyed by
 (global_seed, channel_id, record_index), which makes datasets reproducible
@@ -40,9 +51,9 @@ File layout (little-endian), magic ``OTFSDS01``, format version 3:
 
 The packed structured dtype of :func:`record_dtype` is the single definition
 of a record: generation fills an array of it, the one streaming writer writes
-its rows, and the reader reads the body into one array of it.  A ``Dataset``
-built by :func:`generate_dataset` or :func:`read_dataset` has the fields of
-that array as its columns.
+it a chunk of rows at a time, and the reader reads the body into one array
+of it.  A ``Dataset`` built by :func:`generate_dataset` or
+:func:`read_dataset` has the fields of that array as its columns.
 
 Version 1 files hold the same layout, but their channel faded the whole
 stream and their noise power was set from it, so their noisy windows differ
@@ -92,6 +103,10 @@ READABLE_VERSIONS = (1, 2, 3)
 _HEADER = struct.Struct("<8sIIIIQQ")
 
 DEFAULT_SNR_GRID_DB = tuple(float(s) for s in range(-20, 27, 2))
+
+# complex128 bytes of DD grids (three per record, 48 bytes per sample) that
+# one chunk of captures may span
+CHUNK_BYTES = 1024 * 1024
 
 
 class DataFormatError(Exception):
@@ -198,29 +213,77 @@ class CaptureRecord:
     theta_d: int
 
 
-_PREAMBLE = 3  # source index of the preamble; 0, 1, 2 are the serialized grids
-
-
 @functools.lru_cache(maxsize=8)
 def _stream_layout(cfg: DatasetConfig) -> tuple:
-    """What every capture of ``cfg`` shares: (pilots, preamble, pieces,
-    body_end, payload_start).  ``pilots`` holds the pilot of each stream
-    grid (prepend filler, payload, append filler); ``pieces`` lays out the
-    stream as (start index, source index, slice of that source); the append
-    filler starts at ``body_end`` and the first payload sample (theta = 0)
-    at ``payload_start``."""
+    """What every capture of ``cfg`` shares: (pilots, preamble, grid_at,
+    copies, payload_start).  ``pilots`` holds the pilot of each stream grid
+    (prepend filler, payload, append filler), and grid i's serial samples
+    start at ``grid_at[i]`` (the payload's first copy for grid 1).  The
+    preamble starts at M*N.  ``copies`` lists the (to, from, length) copies
+    within the stream that then write the first cyclic prefix and every
+    further block.  The first payload sample (theta = 0) is at
+    ``payload_start``, and the stream ends M*N samples after the append
+    filler's start."""
     frame = cfg.frame
-    MN, L = frame.grid_size, frame.L_CP
+    MN, L, B = frame.grid_size, frame.L_CP, cfg.blocks_per_frame
     pre = zadoff_chu(cfg.preamble.length, cfg.preamble.root) if cfg.preamble else np.zeros(0)
     pre.flags.writeable = False
-    whole = slice(None)
-    pieces = [(0, 0, whole), (MN, _PREAMBLE, whole)]
-    at = MN + pre.size
-    for _ in range(cfg.blocks_per_frame):
-        pieces += [(at, 1, slice(MN - L, MN)), (at + L, 1, whole)]
-        at += MN + L
-    pieces.append((at, 2, whole))
-    return (None, cfg.pilot, None), pre, tuple(pieces), at, MN + pre.size + L
+    body = MN + pre.size  # where the first block starts
+    grid_at = (0, body + L, body + B * (MN + L))
+    copies = ((body, body + MN, L),
+              *((body + b * (MN + L), body, MN + L) for b in range(1, B)))
+    return (None, cfg.pilot, None), pre, grid_at, copies, body + L
+
+
+def _synthesize(cfg: DatasetConfig, profile: ChannelProfile, channel_id: int,
+                snrs: list[float], thetas: list[int], rngs: list[np.random.Generator],
+                out: np.ndarray) -> None:
+    """Fill the record array ``out`` with captures of one channel: record j
+    is offset by ``thetas[j]``, at SNR ``snrs[j]``, and draws its grids, its
+    channel and its noise from ``rngs[j]`` in that order.  The arithmetic
+    runs once on the stacked records; only a random channel fades each
+    record's span on its own."""
+    frame = cfg.frame
+    M, N, MN = frame.M, frame.N, frame.grid_size
+    k = len(out)
+    pilots, preamble, grid_at, copies, payload_start = _stream_layout(cfg)
+    grids = build_dd_frame(frame, pilots, rngs)
+    chans = [realize_channel(profile, cfg.sample_rate_hz, g) for g in rngs]
+    start = payload_start + np.asarray(thetas)
+    # a window depends on the stream from max(taps) samples before it on
+    # (the taps depend on the profile alone): record j's span is
+    # [lo[j], start[j] + MN), and only the grids that some span reaches are
+    # transformed and written
+    lo = np.maximum(start - int(chans[0].taps.max()), 0)
+    first = 0 if lo.min() < MN else 1
+    last = 3 if start.max() + MN > grid_at[2] else 2
+    stream = np.empty((k, grid_at[2] + MN), dtype=np.complex128)
+    dt = dd_to_dt(grids[:, first:last])
+    for g in range(first, last):
+        # column-major readout: serial sample n*M + m is DT cell (m, n)
+        stream[:, grid_at[g] : grid_at[g] + MN].reshape(k, N, M)[...] = (
+            dt[:, g - first].transpose(0, 2, 1))
+    stream[:, MN : MN + preamble.size] = preamble
+    for to, at, n in copies:
+        stream[:, to : to + n] = stream[:, at : at + n]
+    del grids, dt  # only the stream is read from here on
+    spans = [stream[j, lo[j] : start[j] + MN] for j in range(k)]
+    if profile.kind is ChannelKind.AWGN:
+        # no delay history: the shared identity realization fades the
+        # stacked windows at once
+        window = apply_fading(np.stack(spans), chans[0])
+    else:
+        window = np.empty((k, MN), dtype=np.complex128)
+        for j, ch in enumerate(chans):
+            window[j] = apply_fading(spans[j], ch, start=int(lo[j]))[start[j] - lo[j] :]
+    apply_awgn(window, snrs, rngs, out=out["window"].transpose(1, 0, 2))
+    wrapped, theta_t, theta_d = label_of(np.asarray(thetas), M, N)
+    out["channel_id"] = channel_id
+    out["snr_db"] = snrs
+    out["theta_raw"] = thetas
+    out["theta_wrapped"] = wrapped
+    out["theta_t"] = theta_t
+    out["theta_d"] = theta_d
 
 
 def synthesize_capture(
@@ -232,61 +295,45 @@ def synthesize_capture(
     rng: np.random.Generator,
 ) -> CaptureRecord:
     """Build the transmit stream, push the offset window (plus the channel's
-    delay history) through one channel realization, and add noise to it."""
-    frame = cfg.frame
-    MN = frame.grid_size
+    delay history) through one channel realization, and add noise to it:
+    the one-record case of what generation does a chunk at a time."""
+    MN = cfg.frame.grid_size
     if not -MN // 2 <= theta_raw < MN // 2:
         raise ValueError(f"theta_raw={theta_raw} outside [{-MN // 2}, {MN // 2})")
-    pilots, preamble, pieces, body_end, payload_start = _stream_layout(cfg)
-    # all three grids are drawn in stream order, so the RNG stream is the
-    # same whichever fillers the window reaches
-    grids = build_dd_frame(frame, pilots, rng)
-    ch = realize_channel(profile, cfg.sample_rate_hz, rng)
-    start = payload_start + theta_raw
-    # the window depends on the stream from max(taps) samples before it on;
-    # only the grids that span reaches are transformed
-    lo, hi = max(start - int(ch.taps.max()), 0), start + MN
-    first = 0 if lo < MN else 1
-    last = 3 if hi > body_end else 2
-    sources = [None, None, None, preamble]
-    sources[first:last] = dd_to_dt(grids[first:last]).transpose(0, 2, 1).reshape(-1, MN)
-    # copy the stream's span [lo, hi) from the pieces it overlaps
-    span = np.empty(hi - lo, dtype=np.complex128)
-    for at, src, part in pieces:
-        if sources[src] is None:
-            continue
-        x = sources[src][part]
-        a, b = max(at, lo), min(at + x.size, hi)
-        if a < b:
-            span[a - lo : b - lo] = x[a - at : b - at]
-    faded = apply_fading(span, ch, start=lo)
-    planes = apply_awgn(faded[start - lo :], snr_db, rng,
-                        out=np.empty((2, MN), dtype=np.float32))
-    wrapped, theta_t, theta_d = label_of(theta_raw, frame.M, frame.N)
+    rec = np.empty(1, dtype=record_dtype(MN))
+    _synthesize(cfg, profile, channel_id, [snr_db], [theta_raw], [rng], rec)
     return CaptureRecord(
-        window=planes,
+        window=rec["window"][0].copy(),
         channel_id=channel_id,
         snr_db=float(snr_db),
         theta_raw=int(theta_raw),
-        theta_wrapped=wrapped,
-        theta_t=theta_t,
-        theta_d=theta_d,
+        theta_wrapped=int(rec["theta_wrapped"][0]),
+        theta_t=int(rec["theta_t"][0]),
+        theta_d=int(rec["theta_d"][0]),
     )
 
 
-def _generate_rows(cfg: DatasetConfig) -> Iterator[tuple]:
-    """Every capture of ``cfg`` in file order, each as one record row: its
-    values in the field order of :func:`record_dtype`."""
+def _chunk_records(MN: int) -> int:
+    """Records per chunk of an M*N-sample configuration."""
+    return max(1, CHUNK_BYTES // (48 * MN))
+
+
+def _draw_chunks(cfg: DatasetConfig) -> Iterator[tuple]:
+    """Every capture of ``cfg`` in file order, a chunk of one channel's
+    records at a time, as (channel_id, profile, snrs, thetas, rngs): each
+    record's generator with its offset and SNR already drawn from it."""
     MN = cfg.frame.grid_size
+    rows = _chunk_records(MN)
     grid = np.asarray(cfg.snr_grid_db, dtype=np.float64)
     for channel_id, profile in channel_table(cfg):
-        for i in range(cfg.samples_per_channel):
-            rng = per_record_rng(cfg.global_seed, channel_id, i)
-            theta = int(rng.integers(-MN // 2, MN // 2))
-            snr = float(grid[rng.integers(len(grid))])
-            rec = synthesize_capture(cfg, profile, channel_id, snr, theta, rng)
-            yield (rec.channel_id, rec.snr_db, rec.theta_raw, rec.theta_wrapped,
-                   rec.theta_t, rec.theta_d, rec.window)
+        for first in range(0, cfg.samples_per_channel, rows):
+            rngs, thetas, snrs = [], [], []
+            for i in range(first, min(first + rows, cfg.samples_per_channel)):
+                rng = per_record_rng(cfg.global_seed, channel_id, i)
+                thetas.append(int(rng.integers(-MN // 2, MN // 2)))
+                snrs.append(float(grid[rng.integers(len(grid))]))
+                rngs.append(rng)
+            yield channel_id, profile, snrs, thetas, rngs
 
 
 @dataclass
@@ -355,39 +402,56 @@ def generate_dataset(cfg: DatasetConfig) -> Dataset:
     """Materialize a whole dataset in memory (use the streaming writer for
     default-scale datasets: 90k records at M=256, N=64 is ~12 GB)."""
     recs = np.empty(cfg.record_count, dtype=record_dtype(cfg.frame.grid_size))
-    for i, row in enumerate(_generate_rows(cfg)):
-        recs[i] = row
+    at = 0
+    for channel_id, profile, snrs, thetas, rngs in _draw_chunks(cfg):
+        _synthesize(cfg, profile, channel_id, snrs, thetas, rngs, recs[at : at + len(rngs)])
+        at += len(rngs)
     f = cfg.frame
     return _dataset(f.M, f.N, f.L_CP, cfg.global_seed, recs)
 
 
 def _write_records(path: str, version: int, M: int, N: int, L_CP: int, count: int,
-                   global_seed: int, rows: Iterable[tuple]) -> None:
-    """Write the header, then ``rows`` (values in record field order) one
-    record at a time, so the writer holds one record, not the dataset."""
-    rec = np.empty(1, dtype=record_dtype(M * N))
+                   global_seed: int, chunks: Iterable[np.ndarray]) -> None:
+    """Write the header, then each record array of ``chunks`` in turn, so
+    the writer holds one chunk, not the dataset."""
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, version, M, N, L_CP, count, global_seed))
-        for row in rows:
-            rec[0] = row
-            fh.write(rec)
+        for chunk in chunks:
+            fh.write(chunk)
 
 
 def write_dataset(cfg: DatasetConfig, path: str) -> int:
     """Generate and stream a dataset straight to disk; returns record count."""
     n, f = cfg.record_count, cfg.frame
-    _write_records(path, FORMAT_VERSION, f.M, f.N, f.L_CP, n, cfg.global_seed,
-                   _generate_rows(cfg))
+    buffer = np.empty(_chunk_records(f.grid_size), dtype=record_dtype(f.grid_size))
+
+    def chunks() -> Iterator[np.ndarray]:
+        for channel_id, profile, snrs, thetas, rngs in _draw_chunks(cfg):
+            out = buffer[: len(rngs)]
+            _synthesize(cfg, profile, channel_id, snrs, thetas, rngs, out)
+            yield out
+
+    _write_records(path, FORMAT_VERSION, f.M, f.N, f.L_CP, n, cfg.global_seed, chunks())
     return n
 
 
 def save_dataset(ds: Dataset, path: str) -> None:
     """Write an in-memory dataset in the standard binary layout, under the
     format version its records were generated with."""
-    columns = (ds.channel_id, ds.snr_db, ds.theta_raw, ds.theta_wrapped,
-               ds.theta_t, ds.theta_d, ds.windows)
+    MN = ds.M * ds.N
+    buffer = np.empty(_chunk_records(MN), dtype=record_dtype(MN))
+    columns = {name: getattr(ds, name) for name in buffer.dtype.names if name != "window"}
+    columns["window"] = ds.windows
+
+    def chunks() -> Iterator[np.ndarray]:
+        for lo in range(0, len(ds), len(buffer)):
+            out = buffer[: min(len(buffer), len(ds) - lo)]
+            for name, column in columns.items():
+                out[name] = column[lo : lo + len(out)]
+            yield out
+
     _write_records(path, ds.format_version, ds.M, ds.N, ds.L_CP, len(ds),
-                   ds.global_seed, zip(*columns))
+                   ds.global_seed, chunks())
 
 
 def read_dataset(path: str) -> Dataset:

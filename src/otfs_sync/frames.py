@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -145,7 +146,7 @@ def _grid_plan(frame: FrameConfig, pilots: tuple[PilotConfig | None, ...]):
 def build_dd_frame(
     frame: FrameConfig,
     pilot: PilotConfig | None | tuple[PilotConfig | None, ...],
-    rng: np.random.Generator,
+    rng: np.random.Generator | Sequence[np.random.Generator],
 ) -> np.ndarray:
     """Populate one M x N delay-Doppler grid, or a stack of them.
 
@@ -156,16 +157,24 @@ def build_dd_frame(
 
     A tuple of pilots (each a ``PilotConfig`` or None) builds a ``(k, M, N)``
     stack in one draw, grid i with pilot i; its symbols are those of k calls
-    in a row on the same generator.
+    in a row on the same generator.  A sequence of generators builds what one
+    of them would, once per generator, along a new leading axis: entry j
+    holds exactly the symbols of a call on ``rng[j]`` alone.
     """
     stack = isinstance(pilot, tuple)
     pilots = pilot if stack else (pilot,)
     points, cells = _grid_plan(frame, pilots)
-    grids = points[rng.integers(0, frame.mod_order, size=(len(pilots), frame.M, frame.N))]
+    one = isinstance(rng, np.random.Generator)
+    draws = [g.integers(0, frame.mod_order, size=(len(pilots), frame.M, frame.N))
+             for g in ((rng,) if one else rng)]
+    # a lone draw gains its leading axis without a copy
+    grids = points[np.stack(draws) if len(draws) > 1 else draws[0][None]]
     for i, rows, p in cells:
-        grids[i, rows, :] = 0.0
-        grids[i, p.m_p, p.n_p] = p.amplitude
-    return grids if stack else grids[0]
+        grids[..., i, rows, :] = 0.0
+        grids[..., i, p.m_p, p.n_p] = p.amplitude
+    if one:
+        grids = grids[0]
+    return grids if stack else grids[..., 0, :, :]
 
 
 def dd_to_dt(grid_dd: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ from otfs_sync.channel import (
     ChannelKind,
     ChannelProfile,
     PROFILES_BY_ID,
+    ChannelRealization,
     apply_awgn,
     apply_fading,
     doppler_rotation,
@@ -142,6 +143,29 @@ class TestFading:
         ch = realize_channel(AWGN_PROFILE, FS, _rng())
         assert np.array_equal(apply_fading(x, ch), x)
 
+    def test_identity_shortcut_is_the_general_path_bitwise(self):
+        # the shared AWGN realization returns x + 0.0; an equal realization
+        # that is not the shared one takes the multiply-add path, and both
+        # must agree byte for byte, signed zeros included
+        shared = realize_channel(AWGN_PROFILE, FS, _rng())
+        equal = ChannelRealization(np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex),
+                                   np.zeros(1), np.zeros(1), sample_rate_hz=FS)
+        assert equal is not shared
+        rng = _rng(15)
+        parts = rng.standard_normal((2, 16_384))
+        for plane in parts:
+            plane[rng.integers(0, plane.size, 2_000)] = 0.0
+            plane[rng.integers(0, plane.size, 2_000)] = -0.0
+        x = parts[0] + 1j * parts[1]
+        x.real[:4], x.imag[:4] = [0.0, -0.0, 0.0, -0.0], [0.0, 0.0, -0.0, -0.0]
+        assert np.signbit(x.real).any() and np.signbit(x.imag).any()
+        want = apply_fading(x, equal)
+        got = apply_fading(x, shared)
+        assert got is not x and got.dtype == np.complex128
+        assert got.tobytes() == want.tobytes()
+        stacked = apply_fading(x.reshape(4, -1), shared)
+        assert stacked.shape == (4, 4096) and stacked.tobytes() == want.tobytes()
+
     def test_pure_delay_shifts(self):
         prof = ChannelProfile(
             kind=ChannelKind.CUSTOM, delays_ns=(300.0,), gains_db=(0.0,),
@@ -220,6 +244,31 @@ class TestNoise:
         assert apply_awgn(x, snr_db, _rng(32), out=out) is out
         assert out[0].tobytes() == want.real.astype(np.float32).tobytes()
         assert out[1].tobytes() == want.imag.astype(np.float32).tobytes()
+
+    def test_stacked_rows_are_single_calls(self):
+        # per-row SNRs (inf included) and per-row generators: row j is the
+        # single call on x[j], whether rows go to a new array or to out planes
+        rng = _rng(33)
+        x = rng.standard_normal((5, 96)) + 1j * rng.standard_normal((5, 96))
+        x.real[2, ::3] = -0.0
+        snrs = [0.0, float("inf"), -7.5, 20.0, float("inf")]
+        want = [apply_awgn(x[j], snrs[j], _rng(40 + j)) for j in range(5)]
+        got = apply_awgn(x, snrs, [_rng(40 + j) for j in range(5)])
+        assert got.tobytes() == np.stack(want).tobytes()
+        out = np.empty((5, 2, 96), dtype=np.float32)
+        planes = out.transpose(1, 0, 2)  # (2, 5, 96), as the record array gives
+        assert apply_awgn(x, snrs, [_rng(40 + j) for j in range(5)], out=planes) is planes
+        for j in range(5):
+            one = apply_awgn(x[j], snrs[j], _rng(40 + j), out=np.empty((2, 96), dtype=np.float32))
+            assert out[j].tobytes() == one.tobytes(), j
+
+    def test_stacked_zero_row_rejected(self):
+        x = np.ones((3, 16), dtype=complex)
+        x[1] = 0.0
+        with pytest.raises(ValueError, match="all-zero"):
+            apply_awgn(x, [10.0, 10.0, 10.0], [_rng(j) for j in range(3)])
+        with pytest.raises(ValueError, match="snr_db"):
+            apply_awgn(x, [10.0, float("nan"), 10.0], [_rng(j) for j in range(3)])
 
     def test_empty_signal_rejected(self):
         with pytest.raises(ValueError, match="all-zero"):

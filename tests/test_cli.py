@@ -495,6 +495,16 @@ class TestExitCodes:
             "--epochs", "1",
         ]) == 2
 
+    def test_repeated_method_is_2_before_the_dataset_is_read(self, workdir, tmp_path,
+                                                              capsys):
+        # before: the method was estimated twice and printed twice, exit 0
+        for dataset in (workdir["dataset"], tmp_path / "absent.otfsds"):
+            assert main(["eval", "--method", "autocorr2d", "crosscorr", "autocorr2d",
+                         "--dataset", str(dataset)]) == 2
+            captured = capsys.readouterr()
+            assert "--method names autocorr2d more than once" in captured.err
+            assert captured.out == ""
+
     def test_second_file_for_one_head_is_2(self, workdir, capsys):
         assert main([
             "eval", "--method", "resnet2stage",

@@ -16,6 +16,7 @@ from otfs_sync.channel import (
     apply_fading,
     realize_channel,
 )
+import otfs_sync.dataset as dataset_mod
 from otfs_sync.dataset import (
     DEFAULT_SNR_GRID_DB,
     DataFormatError,
@@ -330,6 +331,56 @@ class TestSynthesisPins:
                 assert np.float32(rec.snr_db) == ds.snr_db[k]
                 k += 1
         assert k == len(ds)
+
+
+class TestChunking:
+    """Generation synthesizes a chunk of one channel's records at a time;
+    the bytes must not depend on how many records a chunk holds."""
+
+    CFG = dict(frame=TOY, channels=ALL_CHANNELS,
+               snr_grid_db=(float("inf"), -5.0, 10.0), samples_per_channel=23,
+               blocks_per_frame=2, preamble=PreambleConfig(length=64, root=5),
+               global_seed=31)
+
+    def _file(self, tmp_path, monkeypatch, records_per_chunk, name):
+        cfg = DatasetConfig(**self.CFG)
+        monkeypatch.setattr(dataset_mod, "CHUNK_BYTES", 48 * TOY.grid_size * records_per_chunk)
+        assert dataset_mod._chunk_records(TOY.grid_size) == records_per_chunk
+        path = tmp_path / name
+        write_dataset(cfg, path)
+        return cfg, path.read_bytes(), generate_dataset(cfg)
+
+    def test_chunk_size_changes_no_byte(self, tmp_path, monkeypatch):
+        _, one, mem_one = self._file(tmp_path, monkeypatch, 1, "one.otfsds")
+        for per_chunk in (7, 23, 1000):  # a remainder chunk, a channel, more
+            _, many, mem = self._file(tmp_path, monkeypatch, per_chunk, f"{per_chunk}.otfsds")
+            assert many == one, per_chunk
+            assert mem.windows.tobytes() == mem_one.windows.tobytes(), per_chunk
+        assert np.isinf(mem_one.snr_db).any() and np.isfinite(mem_one.snr_db).any()
+
+    def test_capture_k_is_row_k_of_the_file(self, tmp_path, monkeypatch):
+        # what the benchmark's record check does: redraw record k's labels
+        # from its own stream and synthesize it alone
+        cfg, raw, _ = self._file(tmp_path, monkeypatch, 1000, "whole.otfsds")
+        dt = record_dtype(TOY.grid_size)
+        recs = np.frombuffer(raw, dtype=dt, offset=40)
+        MN, spc = TOY.grid_size, cfg.samples_per_channel
+        for k in range(len(recs)):
+            cid, profile = channel_table(cfg)[k // spc]
+            rng = per_record_rng(cfg.global_seed, cid, k % spc)
+            theta = int(rng.integers(-MN // 2, MN // 2))
+            snr = float(np.asarray(cfg.snr_grid_db)[rng.integers(len(cfg.snr_grid_db))])
+            rec = synthesize_capture(cfg, profile, cid, snr, theta, rng)
+            got = recs[k]
+            assert rec.window.tobytes() == got["window"].tobytes(), k
+            assert (rec.channel_id, rec.theta_raw, rec.theta_wrapped, rec.theta_t,
+                    rec.theta_d) == (got["channel_id"], got["theta_raw"],
+                                     got["theta_wrapped"], got["theta_t"], got["theta_d"])
+            assert np.float32(rec.snr_db) == got["snr_db"]
+
+    def test_default_scale_chunk_is_one_record(self):
+        assert dataset_mod._chunk_records(FrameConfig().grid_size) == 1
+        assert dataset_mod._chunk_records(TOY.grid_size) >= 64
 
 
 class TestDeterminism:

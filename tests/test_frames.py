@@ -108,6 +108,18 @@ class TestBuildFrame:
         # and both leave the generator at the same point
         assert one.integers(1 << 62) == calls.integers(1 << 62)
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_one_stack_per_generator(self, count):
+        # a sequence of generators stacks, along a new leading axis, what a
+        # call on each of them alone builds, for a stack or a single grid
+        cfg = FrameConfig(M=16, N=8, L_CP=4)
+        pilots = (None, PilotConfig.for_frame(cfg, guard_halfwidth=2), None)
+        for pilot, shape in ((pilots, (3, 16, 8)), (pilots[1], (16, 8))):
+            got = build_dd_frame(cfg, pilot, [_rng(10 + j) for j in range(count)])
+            assert got.shape == (count, *shape)
+            for j in range(count):
+                assert got[j].tobytes() == build_dd_frame(cfg, pilot, _rng(10 + j)).tobytes()
+
     def test_stack_validates_each_pilot(self):
         cfg = FrameConfig(M=8, N=4, L_CP=0)
         bad = PilotConfig(m_p=9, n_p=0, amplitude=1.0, guard_halfwidth=0)

@@ -52,6 +52,36 @@ def test_toy_experiment_writes_its_artifacts(tmp_path):
         assert meta["best_epoch"] == 0.0
 
 
+def test_toy_experiment_costs_follow_its_config(tmp_path, capsys):
+    # the script's complexity.csv counts the preamble and pilot row of its
+    # --config, as `otfs-sync complexity --config` does; before, it counted a
+    # 64-sample preamble and row M//2 whatever the config named
+    from otfs_sync.cli import main
+
+    for name, extra in (("plain", {}),
+                        ("own", {"preamble": {"length": 40, "root": 3},
+                                 "pilot": {"m_p": 5, "n_p": 1, "amplitude": 4.0,
+                                           "guard_halfwidth": 2}})):
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps({**TINY_CONFIG, **extra}))
+        outdir = tmp_path / name
+        done = subprocess.run(
+            [sys.executable, str(SCRIPT), "--config", str(config), "--epochs", "1",
+             "--skip-onestage", "--outdir", str(outdir)],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        cli_csv = tmp_path / f"{name}.csv"
+        assert main(["complexity", "--config", str(config), "--no-runtime",
+                     "--out", str(cli_csv)]) == 0
+        capsys.readouterr()
+
+        def analytic(path):
+            return [line.split(",")[:3] for line in path.read_text().splitlines()]
+
+        assert analytic(outdir / "complexity.csv") == analytic(cli_csv), name
+
+
 def test_toy_experiment_metrics_are_reproducible(tmp_path):
     _run_toy(tmp_path, tmp_path / "a")
     _run_toy(tmp_path, tmp_path / "b")
