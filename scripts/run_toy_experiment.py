@@ -16,10 +16,12 @@ and the analytic cost table.  Everything lands in --outdir:
     *.weights.train.jsonl       per-epoch training reports
     metrics.csv                 per method: its per-channel/per-SNR rows, then
                                 its overall row (channel_id -1)
-    complexity.csv              FLOPs / params / runtime per method, for the
-                                preamble and pilot row of --config (the
-                                default preamble if it names none), as
-                                `otfs-sync complexity --config` counts them
+    complexity.csv              FLOPs / params / runtime per method
+
+Settings come from --config (`config.estimator_settings`), as in `otfs-sync
+eval` and `complexity`: autocorr2d's pilot row, and the preamble crosscorr
+is costed with (the default one if it names none).  A preamble longer than
+the window, or M*N not divisible by 8, exits 2 before anything is generated.
 
 The defaults reproduce the shipped acceptance numbers (~0.999 two-stage
 accuracy, RMSE ~1 sample) in about three minutes (181 s on a 2-vCPU Xeon host).
@@ -31,14 +33,15 @@ import argparse
 import shutil
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from otfs_sync.config import ConfigError, complexity_settings, load_dataset_config
-from otfs_sync.dataset import read_dataset, write_dataset
+from otfs_sync.config import ConfigError, estimator_settings, load_dataset_config
+from otfs_sync.dataset import PreambleConfig, read_dataset, write_dataset
 from otfs_sync.metrics import (
-    SweepModels,
+    METHODS,
     complexity_csv,
     complexity_report,
     complexity_table,
@@ -64,7 +67,8 @@ def parse_args() -> argparse.Namespace:
     args = ap.parse_args()
     try:
         args.cfg = load_dataset_config(args.config)
-        args.cost_settings = complexity_settings(args.cfg)
+        args.settings = estimator_settings(
+            replace(args.cfg, preamble=args.cfg.preamble or PreambleConfig()), METHODS)
     except ConfigError as exc:
         ap.error(str(exc))
     return args
@@ -107,8 +111,7 @@ def main() -> int:
         onestage = run_stage(
             "onestage", lambda h: train_one_stage(train_ds, test_ds, h, log))
         methods.insert(1, "resnet1stage")
-    models = SweepModels(coarse=coarse, fine=fine, onestage=onestage,
-                         pilot_row=cfg.pilot.m_p)
+    models = replace(args.settings, coarse=coarse, fine=fine, onestage=onestage)
 
     rows = sweep(test_ds, methods, models)
     (outdir / "metrics.csv").write_text(rows_to_csv(rows))
@@ -117,9 +120,7 @@ def main() -> int:
         if row.channel_id == -1:
             print(f"  {row.method:<14} accuracy {row.accuracy:.4f}  rmse {row.rmse:.3f}")
 
-    preamble, pilot_row = args.cost_settings
-    cost = complexity_report(test_ds.M, test_ds.N, preamble=preamble, pilot_row=pilot_row,
-                             models=models, repeats=25)
+    cost = complexity_report(test_ds.M, test_ds.N, models, repeats=25)
     (outdir / "complexity.csv").write_text(complexity_csv(cost))
     print("\n" + complexity_table(cost, test_ds.M, test_ds.N), end="")
 

@@ -70,7 +70,6 @@ from .pipeline import (
     compensate,
     compensate_batch,
     infer,
-    infer_one_stage,
     infer_two_stage,
     train_coarse,
     train_fine,

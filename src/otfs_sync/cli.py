@@ -7,10 +7,14 @@ its per-channel, per-SNR rows on the test split and then its overall row
 ``eval`` and ``complexity`` take trained heads as one ``--weights PATH
 [PATH ...]`` list, in any order: each file goes where the head in its own
 metadata says, and a method whose heads (``metrics.METHOD_HEADS``) are not
-all there is refused before any estimate runs.
+all there is refused before any estimate runs.  ``eval`` takes the crosscorr
+preamble and the autocorr2d pilot row from ``--config``, the dataset's JSON
+(``config.estimator_settings``), and refuses with exit 2 before any estimate
+either method without it, crosscorr without a preamble or with one longer
+than the window, and a config whose M, N or L_CP differs from the dataset's.
 
-Exit codes: 0 success, 2 configuration error, 3 data-format error,
-4 runtime or training failure.
+Exit codes: 0 success, 2 configuration error (a path that cannot be opened
+included), 3 data-format error, 4 runtime or training failure.
 """
 
 from __future__ import annotations
@@ -24,10 +28,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import ConfigError, complexity_settings, load_dataset_config
+from .config import ConfigError, estimator_settings, load_dataset_config
 from .dataset import (DataFormatError, Dataset, DatasetConfig, PreambleConfig, read_dataset,
                       write_dataset)
-from .frames import zadoff_chu
 from .metrics import (
     METHOD_HEADS,
     METHODS,
@@ -55,15 +58,6 @@ def _check_args(args: argparse.Namespace) -> None:
     wd = getattr(args, "wd", 0.0)
     if not (np.isfinite(wd) and wd >= 0):
         raise ConfigError(f"--wd must be finite and >= 0, got {wd}")
-
-
-def _preamble(length: int, root: int) -> np.ndarray:
-    """The Zadoff-Chu preamble named on the command line; a length or root
-    it cannot be built from is a configuration error."""
-    try:
-        return zadoff_chu(length, root)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _read_split(path: str, need_train: bool) -> tuple[Dataset, Dataset]:
@@ -157,36 +151,32 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _load_models_for(args: argparse.Namespace, ds, methods: list[str]) -> SweepModels:
-    """Only the heads, preamble and pilot row that ``methods`` use, each
-    checked before any method is estimated: nothing else is read, built or
-    checked."""
+    """The settings of ``--config`` and only the heads that ``methods`` use,
+    each checked before any method is estimated: no other head is read."""
+    settings = SweepModels()
+    if args.config:
+        cfg = load_dataset_config(args.config)
+        M, N, L_CP = cfg.frame.M, cfg.frame.N, cfg.frame.L_CP
+        if (M, N, L_CP) != (ds.M, ds.N, ds.L_CP):
+            raise ConfigError(f"{args.config} describes {M}x{N} frames with L_CP {L_CP}, "
+                              f"the dataset {ds.M}x{ds.N} frames with L_CP {ds.L_CP}")
+        settings = estimator_settings(cfg, methods)
     needed = {head for method in methods for head in METHOD_HEADS[method]}
     loaded = _load_heads(args.weights, (ds.M, ds.N), needed)
     for method in methods:
         if not loaded.keys() >= set(METHOD_HEADS[method]):
             raise ConfigError(f"{method} needs {' and '.join(METHOD_HEADS[method])} weights")
-    preamble = pilot_row = None
-    if "crosscorr" in methods:
-        preamble = _preamble(args.preamble_length, args.preamble_root)
-        if args.preamble_length > ds.M * ds.N:
-            raise ConfigError(f"the {args.preamble_length}-sample preamble is longer than "
-                              f"the {ds.M * ds.N}-sample window")
-    if "autocorr2d" in methods:
-        pilot_row = args.pilot_row if args.pilot_row is not None else ds.M // 2
-        if not 0 <= pilot_row < ds.M:
-            raise ConfigError(f"--pilot-row must lie in [0, {ds.M}), got {pilot_row}")
-    return SweepModels(
-        preamble=preamble,
-        preamble_offset=-(args.preamble_length + ds.L_CP),
-        pilot_row=pilot_row,
-        **loaded,
-    )
+    return replace(settings, **loaded)
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     repeated = sorted({m for m in args.method if args.method.count(m) > 1})
     if repeated:
         raise ConfigError(f"--method names {', '.join(repeated)} more than once")
+    classic = [m for m in args.method if not METHOD_HEADS[m]]
+    if classic and not args.config:
+        raise ConfigError(f"--method {' '.join(classic)} needs --config, the dataset's "
+                          "configuration")
     _, test_ds = _read_split(args.dataset, need_train=False)
     models = _load_models_for(args, test_ds, args.method)
     rows = sweep(test_ds, args.method, models, args.batch)
@@ -196,15 +186,15 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_complexity(args: argparse.Namespace) -> int:
     cfg = load_dataset_config(args.config) if args.config else DatasetConfig()
     M, N = cfg.frame.M, cfg.frame.N
-    preamble, pilot_row = complexity_settings(cfg, measure_runtime=not args.no_runtime)
-    # with no runtime measured no head runs, so no tensor data is read
-    models = SweepModels(**_load_heads(args.weights, (M, N),
-                                       set() if args.no_runtime else set(HEADS)))
-    rows = complexity_report(
-        M, N, preamble=preamble, pilot_row=pilot_row,
-        models=models, repeats=args.repeats,
-        measure_runtime=not args.no_runtime,
-    )
+    # a config without a preamble is costed with the default one; with no
+    # runtime measured no method runs, so none is checked and no tensor data
+    # is read
+    settings = estimator_settings(replace(cfg, preamble=cfg.preamble or PreambleConfig()),
+                                  () if args.no_runtime else METHODS)
+    models = replace(settings, **_load_heads(args.weights, (M, N),
+                                             set() if args.no_runtime else set(HEADS)))
+    rows = complexity_report(M, N, models, repeats=args.repeats,
+                             measure_runtime=not args.no_runtime)
     return _write_out(args.out, complexity_csv(rows), "complexity table",
                       complexity_table(rows, M, N))
 
@@ -273,12 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
                                     "more methods on a dataset's test split")
     e.add_argument("--method", required=True, nargs="+", choices=METHODS)
     e.add_argument("--dataset", required=True)
+    e.add_argument("--config", help="the JSON config the dataset was generated from, giving "
+                                    "the crosscorr preamble and the autocorr2d pilot row")
     add_weights_flag(e)
     e.add_argument("--batch", type=int, default=256)
-    e.add_argument("--preamble-length", type=int, default=PreambleConfig.length)
-    e.add_argument("--preamble-root", type=int, default=PreambleConfig.root)
-    e.add_argument("--pilot-row", type=int, default=None,
-                   help="pilot delay row (default M//2)")
     e.add_argument("--out", help="CSV output path (default: stdout)")
     e.set_defaults(func=_cmd_eval)
 
@@ -309,6 +297,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
+        print(f"config error: cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except (DataFormatError, WeightsFormatError) as exc:
         print(f"data format error: {exc}", file=sys.stderr)

@@ -25,11 +25,12 @@ ids (1, 2, 3) or inline custom profiles
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Sequence
 
 from .channel import ChannelKind, ChannelProfile, PROFILES_BY_ID, PROFILES_BY_LABEL
 from .dataset import DatasetConfig, PreambleConfig
 from .frames import FrameConfig, PilotConfig, zadoff_chu
+from .metrics import METHOD_HEADS, SweepModels
 
 
 class ConfigError(Exception):
@@ -124,23 +125,25 @@ def load_dataset_config(path: str) -> DatasetConfig:
     return parse_dataset_config(doc)
 
 
-def complexity_settings(cfg: DatasetConfig, measure_runtime: bool = True
-                        ) -> tuple[PreambleConfig, int]:
-    """The preamble and pilot row whose costs ``otfs-sync complexity`` reports
-    for ``cfg``: its own preamble, or the default one when it has none, and
-    its pilot row.  With ``measure_runtime``, a preamble that cannot be
-    built or that overruns the M*N-sample window, or a window the
-    classifiers cannot run on (M*N not divisible by 8), is a ConfigError."""
+def estimator_settings(cfg: DatasetConfig, methods: Sequence[str]) -> SweepModels:
+    """What the estimators take for captures of ``cfg``, with no trained
+    heads: the Zadoff-Chu sequence of its preamble (None when it has none),
+    that preamble's offset ``-(length + L_CP)`` in the window, and its pilot
+    row.  A method in ``methods`` that cannot run on these captures is a
+    ConfigError: crosscorr without a preamble or with one longer than the
+    M*N-sample window, and a learned method when M*N is not divisible by 8
+    (the trunk's three halving pools)."""
     M, N = cfg.frame.M, cfg.frame.N
-    preamble = cfg.preamble or PreambleConfig()
-    if measure_runtime:
-        try:
-            zadoff_chu(preamble.length, preamble.root)  # the one crosscorr is timed with
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if preamble.length > M * N:
-            raise ConfigError(f"timing crosscorr needs the {preamble.length}-sample preamble "
-                              f"within the {M * N}-sample window")
-        if M * N % 8:
-            raise ConfigError(f"timing the classifiers needs M*N divisible by 8, got {M}x{N}")
-    return preamble, cfg.pilot.m_p
+    pre = cfg.preamble
+    if "crosscorr" in methods:
+        if pre is None:
+            raise ConfigError("crosscorr needs a preamble, and the config names none")
+        if pre.length > M * N:
+            raise ConfigError(f"the {pre.length}-sample preamble is longer than "
+                              f"the {M * N}-sample window")
+    if M * N % 8 and any(METHOD_HEADS[m] for m in methods):
+        raise ConfigError(f"the classifiers need M*N divisible by 8, got {M}x{N}")
+    if pre is None:
+        return SweepModels(pilot_row=cfg.pilot.m_p)
+    return SweepModels(preamble=zadoff_chu(pre.length, pre.root),
+                       preamble_offset=-(pre.length + cfg.frame.L_CP), pilot_row=cfg.pilot.m_p)

@@ -93,6 +93,7 @@ from .frames import (
     FrameConfig,
     PilotConfig,
     build_dd_frame,
+    check_zadoff_chu,
     dd_to_dt,
     zadoff_chu,
 )
@@ -118,6 +119,9 @@ class DataFormatError(Exception):
 class PreambleConfig:
     length: int = 256
     root: int = 25
+
+    def __post_init__(self) -> None:
+        check_zadoff_chu(self.length, self.root)  # one that cannot be built is a ValueError
 
 
 @dataclass(frozen=True)

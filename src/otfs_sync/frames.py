@@ -215,16 +215,21 @@ def deserialize_time(signal: np.ndarray, frame: FrameConfig) -> np.ndarray:
     return x.reshape((frame.M, frame.N), order="F")
 
 
-def zadoff_chu(length: int, root: int) -> np.ndarray:
-    """Constant-amplitude polyphase preamble sequence.
-
-    Uses the even/odd Zadoff-Chu phase laws; the root must be coprime with
-    the length for the sequence to keep its flat periodic autocorrelation.
-    """
+def check_zadoff_chu(length: int, root: int) -> None:
+    """ValueError unless a Zadoff-Chu sequence can be built from ``length``
+    and ``root``: the length must be positive and the root coprime with it,
+    for the sequence to keep its flat periodic autocorrelation."""
     if length < 1:
-        raise ValueError("preamble length must be positive")
+        raise ValueError(f"preamble length must be positive, got {length}")
     if math.gcd(root, length) != 1:
         raise ValueError(f"root {root} is not coprime with length {length}")
+
+
+def zadoff_chu(length: int, root: int) -> np.ndarray:
+    """Constant-amplitude polyphase preamble sequence, from the even/odd
+    Zadoff-Chu phase laws (:func:`check_zadoff_chu` says which length and
+    root are allowed)."""
+    check_zadoff_chu(length, root)
     n = np.arange(length)
     if length % 2 == 0:
         phase = -np.pi * root * n * n / length

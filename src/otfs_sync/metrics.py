@@ -26,8 +26,7 @@ from .classic import (
     crosscorr_offsets,
     planes_to_complex,
 )
-from .dataset import Dataset, PreambleConfig
-from .frames import zadoff_chu
+from .dataset import Dataset
 from .nn.model import (
     HEADS,
     SyncModel,
@@ -38,7 +37,7 @@ from .nn.model import (
     text_columns,
     two_stage_flops,
 )
-from .pipeline import infer_one_stage, infer_two_stage
+from .pipeline import infer_two_stage
 
 # every method, and the trained heads (SweepModels fields) each one needs
 METHOD_HEADS = {"crosscorr": (), "autocorr2d": (), "resnet2stage": ("coarse", "fine"),
@@ -86,7 +85,8 @@ class MetricsRow:
 
 @dataclass(frozen=True)
 class SweepModels:
-    """Whatever trained models a sweep might need; unused entries stay None."""
+    """The trained heads and classic-estimator settings a sweep might need
+    (``config.estimator_settings`` gives the settings); unused entries stay None."""
 
     coarse: SyncModel | None = None
     fine: SyncModel | None = None
@@ -112,7 +112,7 @@ def estimate_all(ds: Dataset, method: str, models: SweepModels,
     if method == "resnet2stage":
         return infer_two_stage(ds.windows, models.coarse, models.fine, batch_size)
     if method == "resnet1stage":
-        return infer_one_stage(ds.windows, models.onestage, batch_size)
+        return models.onestage.predict_classes(ds.windows, batch_size)
     if method == "autocorr2d":
         m_p = models.pilot_row
         if m_p is None:
@@ -213,9 +213,7 @@ def _median_runtime(fn, repeats: int) -> float:
 def complexity_report(
     M: int,
     N: int,
-    preamble: PreambleConfig = PreambleConfig(),
-    pilot_row: int | None = None,
-    models: SweepModels | None = None,
+    models: SweepModels,
     repeats: int = 100,
     measure_runtime: bool = True,
 ) -> list[ComplexityRow]:
@@ -223,28 +221,25 @@ def complexity_report(
     median single-capture runtime over ``repeats`` inferences.
 
     FLOPs count the paper's direct-form algorithms; runtimes time this
-    implementation.  Cross-correlation is counted for the length of
-    ``preamble`` and timed against its Zadoff-Chu sequence, so its root must
-    be coprime with its length when runtime is measured.  A head in
+    implementation.  Cross-correlation is counted and timed with the
+    preamble sequence of ``models``, and autocorr2d at its pilot row; both
+    must be set (``config.estimator_settings`` gives them).  A head in
     ``models`` is always timed; a missing one is built only when it has at
     most :data:`MAX_TIMED_PARAMS` parameters, and a method left without a
     live head gets ``runtime_s = None``."""
     MN = M * N
-    if pilot_row is None:
-        pilot_row = M // 2
     # parameter totals come from the architecture table so that nothing is
     # allocated unless a runtime measurement needs it: the live models, and
     # the timing window that only the runs below read
     live = {}
     if measure_runtime:
         for head in HEADS:
-            live[head] = getattr(models, head, None)
+            live[head] = getattr(models, head)
             if live[head] is None and param_count(M, N, head) <= MAX_TIMED_PARAMS:
                 live[head] = build_sync_model(M, N, head)
         rng = np.random.Generator(np.random.PCG64(12345))
         win_planes = rng.standard_normal((1, 2, MN)).astype(np.float32)
         win_complex = planes_to_complex(win_planes[0])
-        sequence = zadoff_chu(preamble.length, preamble.root)
     coarse, fine, onestage = (live.get(head) for head in HEADS)
 
     costs = (
@@ -254,10 +249,10 @@ def complexity_report(
          else lambda: infer_two_stage(win_planes, coarse, fine, 1)),
         ("resnet1stage", count_flops(M, N, "onestage"), param_count(M, N, "onestage"),
          None if onestage is None else lambda: onestage.predict_classes(win_planes, 1)),
-        ("crosscorr", 8 * crosscorr_macs(MN, preamble.length), None,
-         lambda: cross_correlate_sync(win_complex, sequence)),
+        ("crosscorr", 8 * crosscorr_macs(MN, models.preamble.size), None,
+         lambda: cross_correlate_sync(win_complex, models.preamble)),
         ("autocorr2d", 8 * autocorr2d_macs(M, N), None,
-         lambda: autocorr2d_sync(win_complex, M, N, pilot_row)),
+         lambda: autocorr2d_sync(win_complex, M, N, models.pilot_row)),
     )
     return [
         ComplexityRow(method, flops, params,

@@ -275,10 +275,6 @@ def infer(window: np.ndarray, coarse: SyncModel, fine: SyncModel) -> int:
     return int(infer_two_stage(window[None, ...], coarse, fine)[0])
 
 
-def infer_one_stage(windows: np.ndarray, model: SyncModel, batch_size: int = 256) -> np.ndarray:
-    return model.predict_classes(windows, batch_size)
-
-
 def save_training_result(result: TrainResult, path: str) -> SyncModel:
     """Write a training run's three files: the final-epoch weights to
     ``<path>.final``, the best weights (restored into ``result.model``) to

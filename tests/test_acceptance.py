@@ -75,7 +75,6 @@ from otfs_sync.nn.model import (
 )
 from otfs_sync.pipeline import (
     TrainHyper,
-    infer_one_stage,
     infer_two_stage,
     save_training_result,
     train_coarse,
@@ -173,7 +172,7 @@ def one_stage(toy_splits):
     t0 = time.perf_counter()
     ro = train_one_stage(train, test, ONESTAGE_HYPER)
     model = ro.restore_best()
-    theta_hat = infer_one_stage(test.windows, model, 256)
+    theta_hat = model.predict_classes(test.windows, 256)
     return model, accuracy(theta_hat, test.theta_wrapped), time.perf_counter() - t0
 
 

@@ -154,7 +154,7 @@ class TestHappyPath:
         methods = ["resnet2stage", "autocorr2d", "crosscorr", "resnet1stage"]
         assert main(["eval", "--method", *methods, "--dataset", str(workdir["dataset"]),
                      "--weights", *(str(workdir[h]) for h in ("coarse", "fine", "onestage")),
-                     "--preamble-length", "16", "--preamble-root", "5"]) == 0
+                     "--config", str(workdir["config"])]) == 0
         assert calls == methods
         # one block per method: its (channel 1, 20 dB) row, then its overall row
         rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
@@ -166,7 +166,7 @@ class TestHappyPath:
         assert main([
             "eval", "--method", "autocorr2d",
             "--dataset", str(workdir["dataset"]),
-            "--preamble-length", "16", "--preamble-root", "5",
+            "--config", str(workdir["config"]),
             "--out", str(out_csv),
         ]) == 0
         text = out_csv.read_text()
@@ -176,7 +176,7 @@ class TestHappyPath:
     def test_multi_method_eval_is_the_single_method_outputs(self, workdir, tmp_path, capsys):
         argv = ["--dataset", str(workdir["dataset"]),
                 "--weights", *(str(workdir[h]) for h in ("coarse", "fine", "onestage")),
-                "--preamble-length", "16", "--preamble-root", "5"]
+                "--config", str(workdir["config"])]
         out = tmp_path / "rows.csv"
 
         def csv_for(*methods):
@@ -227,16 +227,16 @@ class TestHappyPath:
     def test_complexity_times_the_config_preamble(self, tmp_path, capsys, monkeypatch):
         # before: always zadoff_chu(length, 25), so root 3 at length 250 (not
         # coprime with 25) was refused with exit 2
-        import otfs_sync.metrics as metrics_mod
+        import otfs_sync.config as config_mod
 
         built = []
-        original = metrics_mod.zadoff_chu
+        original = config_mod.zadoff_chu
 
         def recording(length, root):
             built.append((length, root))
             return original(length, root)
 
-        monkeypatch.setattr(metrics_mod, "zadoff_chu", recording)
+        monkeypatch.setattr(config_mod, "zadoff_chu", recording)
         cfg = tmp_path / "p250.json"
         cfg.write_text(json.dumps({**TINY_CONFIG, "frame": {"M": 32, "N": 8, "L_CP": 8},
                                    "preamble": {"length": 250, "root": 3}}))
@@ -277,35 +277,28 @@ class TestHappyPath:
             "gen": ["--config", "--out", "--seed"],
             "train": ["--batch", "--coarse-weights", "--dataset", "--epochs", "--lr",
                       "--out-weights", "--seed", "--stage", "--wd"],
-            "eval": ["--batch", "--dataset", "--method", "--out", "--pilot-row",
-                     "--preamble-length", "--preamble-root", "--weights"],
+            "eval": ["--batch", "--config", "--dataset", "--method", "--out", "--weights"],
             "complexity": ["--config", "--no-runtime", "--out", "--repeats", "--weights"],
             "info": ["--dataset", "--weights"],
         }
 
     @pytest.mark.parametrize("command", [["eval", "--method", "autocorr2d"],
                                          ["eval", "--method", "resnet1stage", "autocorr2d"]])
-    def test_no_preamble_is_built_without_crosscorr(self, workdir, capsys, command):
-        # before: root 25 is not coprime with length 250, so a preamble that
-        # autocorr2d never reads was refused with exit 2; neither is a
-        # preamble longer than the 32-sample window checked without crosscorr
+    def test_no_preamble_is_built_without_crosscorr(self, workdir, tmp_path, capsys, command):
+        # without crosscorr the config's preamble is neither needed nor
+        # checked against the window: none at all, or one longer than the
+        # 32-sample window, scores as the 16-sample one does (a preamble that
+        # cannot be built is refused when any config is read)
         argv = [*command, "--dataset", str(workdir["dataset"]),
                 "--weights", str(workdir["onestage"])]
-        assert main(argv) == 0
+        assert main([*argv, "--config", str(workdir["config"])]) == 0
         want = capsys.readouterr().out
-        for extra in (["--preamble-length", "250"], ["--preamble-length", "33"]):
-            assert main([*argv, *extra]) == 0
+        no_preamble = {k: v for k, v in TINY_CONFIG.items() if k != "preamble"}
+        for doc in (no_preamble, {**TINY_CONFIG, "preamble": {"length": 33, "root": 5}}):
+            cfg = tmp_path / "other.json"
+            cfg.write_text(json.dumps(doc))
+            assert main([*argv, "--config", str(cfg)]) == 0
             assert capsys.readouterr().out == want
-
-    def test_no_pilot_row_is_checked_without_autocorr2d(self, workdir, capsys):
-        # before: a pilot row past the 8-row grid, which crosscorr never
-        # reads, was refused with exit 2
-        argv = ["eval", "--method", "crosscorr", "--dataset", str(workdir["dataset"]),
-                "--preamble-length", "16", "--preamble-root", "5"]
-        assert main(argv) == 0
-        want = capsys.readouterr().out
-        assert main([*argv, "--pilot-row", "99"]) == 0
-        assert capsys.readouterr().out == want
 
     def test_only_the_heads_the_methods_use_are_loaded(self, workdir, tmp_path, capsys,
                                                        monkeypatch):
@@ -330,7 +323,8 @@ class TestHappyPath:
             (["eval", "--method", "autocorr2d", "resnet1stage"], ["onestage"]),
         ):
             loaded.clear()
-            assert main([*command, *dataset, "--weights", *heads.values()]) == 0
+            assert main([*command, *dataset, "--config", str(workdir["config"]),
+                         "--weights", *heads.values()]) == 0
             assert loaded == [heads[h] for h in used]
         capsys.readouterr()
         # the header of a file no method uses is still checked
@@ -548,7 +542,7 @@ class TestExitCodes:
         calls = []
         monkeypatch.setattr(metrics_mod, "estimate_all", lambda *args, **kw: calls.append(args))
         assert main(["eval", "--method", "autocorr2d", method,
-                     "--dataset", str(workdir["dataset"]),
+                     "--dataset", str(workdir["dataset"]), "--config", str(workdir["config"]),
                      "--weights", *(str(workdir[h]) for h in heads)]) == 2
         assert calls == []
         assert f"{method} needs {missing} weights" in capsys.readouterr().err
@@ -565,20 +559,84 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and "usage:" in captured.err
 
-    def test_preamble_longer_than_the_window_is_2_before_estimating(self, workdir, capsys,
-                                                                   monkeypatch):
+    def test_preamble_longer_than_the_window_is_2_before_estimating(self, workdir, tmp_path,
+                                                                   capsys, monkeypatch):
         # before: exit 4 from crosscorr, after every earlier method had run
         import otfs_sync.metrics as metrics_mod
 
         calls = []
         monkeypatch.setattr(metrics_mod, "estimate_all", lambda *args, **kw: calls.append(args))
+        cfg = tmp_path / "p33.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "preamble": {"length": 33, "root": 5}}))
         assert main(["eval", "--method", "autocorr2d", "crosscorr",
-                     "--dataset", str(workdir["dataset"]),
-                     "--preamble-length", "33", "--preamble-root", "5"]) == 2
+                     "--dataset", str(workdir["dataset"]), "--config", str(cfg)]) == 2
         assert calls == []
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "the 33-sample preamble is longer than the 32-sample window" in captured.err
+
+    @pytest.mark.parametrize("methods,config,message", [
+        (["autocorr2d"], None, "--method autocorr2d needs --config"),
+        (["resnet1stage", "crosscorr"], None, "--method crosscorr needs --config"),
+        (["crosscorr"], {"preamble": None}, "crosscorr needs a preamble"),
+        (["autocorr2d"], {"frame": {"M": 16, "N": 2, "L_CP": 4}},
+         "describes 16x2 frames with L_CP 4, the dataset 8x4 frames with L_CP 4"),
+        (["autocorr2d"], {"frame": {"M": 8, "N": 8, "L_CP": 4}}, "describes 8x8 frames"),
+        (["resnet1stage"], {"frame": {"M": 8, "N": 4, "L_CP": 2}}, "with L_CP 2, the dataset"),
+    ], ids=["autocorr2d-no-config", "crosscorr-no-config", "no-preamble", "M", "N", "L_CP"])
+    def test_eval_settings_are_2_before_estimating(self, workdir, tmp_path, capsys,
+                                                   monkeypatch, methods, config, message):
+        # a dataset generated without a preamble, scored by crosscorr: before,
+        # the --preamble-length default filled its window, exit 0 and
+        # accuracy near 0
+        import otfs_sync.metrics as metrics_mod
+
+        doc = {**TINY_CONFIG, **(config or {})}
+        doc = {k: v for k, v in doc.items() if v is not None}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        dataset = workdir["dataset"]
+        if "preamble" not in doc:
+            dataset = tmp_path / "plain.otfsds"
+            assert main(["gen", "--config", str(cfg), "--out", str(dataset)]) == 0
+            capsys.readouterr()
+        calls = []
+        monkeypatch.setattr(metrics_mod, "estimate_all", lambda *args, **kw: calls.append(args))
+        argv = ["eval", "--method", *methods, "--dataset", str(dataset),
+                "--weights", str(workdir["onestage"])]
+        assert main([*argv, *(["--config", str(cfg)] if config else [])]) == 2
+        assert calls == []
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+    @pytest.mark.parametrize("bad,argv", [
+        ("ghost", ["gen", "--config", "{config}", "--out", "{ghost}"]),
+        ("ghost", ["info", "--dataset", "{ghost}"]),
+        ("root", ["info", "--dataset", "{root}"]),
+        ("notdir", ["info", "--weights", "{notdir}"]),
+        ("ghost", ["eval", "--method", "resnet1stage", "--dataset", "{ghost}",
+                   "--weights", "{onestage}"]),
+        ("ghost", ["eval", "--method", "resnet1stage", "--dataset", "{dataset}",
+                   "--weights", "{ghost}"]),
+        ("ghost", ["eval", "--method", "resnet1stage", "--dataset", "{dataset}",
+                   "--weights", "{onestage}", "--out", "{ghost}"]),
+        ("ghost", ["train", "--stage", "coarse", "--dataset", "{ghost}",
+                   "--out-weights", "{root}/never.otfsnn"]),
+        ("ghost", ["complexity", "--config", "{config}", "--no-runtime",
+                   "--weights", "{ghost}"]),
+    ], ids=["gen-out", "info-dataset", "info-directory", "info-weights-under-a-file",
+            "eval-dataset", "eval-weights", "eval-out", "train-dataset", "complexity-weights"])
+    def test_a_path_that_cannot_be_opened_is_2(self, workdir, tmp_path, capsys, bad, argv):
+        # before: a missing --dataset or --weights, or an --out in a missing
+        # directory, was exit 4 with FileNotFoundError
+        paths = {k: str(v) for k, v in workdir.items()}
+        paths.update(ghost=str(tmp_path / "absent" / "file"),
+                     notdir=str(workdir["dataset"] / "file"))
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: cannot open {paths[bad]}: ")
+        assert captured.out == ""
+        assert not (tmp_path / "absent").exists()
 
     def test_empty_channel_list_is_2(self, tmp_path, capsys):
         # before: the three preset channels, 3 x samples_per_channel records
@@ -620,22 +678,15 @@ class TestExitCodes:
         for argv, counts in (
             ([*train, "--dataset", str(empty)], "0 training and 0 test records"),
             ([*train, "--dataset", str(one)], "0 training and 1 test records"),
-            (["eval", "--method", "autocorr2d", "--dataset", str(empty)],
+            (["eval", "--method", "autocorr2d", "--dataset", str(empty), "--config", str(cfg)],
              "0 training and 0 test records"),
-            (["eval", "--method", "autocorr2d", "crosscorr", "--dataset", str(empty)],
-             "0 training and 0 test records"),
+            (["eval", "--method", "autocorr2d", "crosscorr", "--dataset", str(empty),
+              "--config", str(cfg)], "0 training and 0 test records"),
         ):
             assert main(argv) == 2, argv
             captured = capsys.readouterr()
             assert "config error" in captured.err and counts in captured.err, argv
         assert not weights.exists()
-
-    def test_missing_weights_file_is_4(self, workdir):
-        assert main([
-            "eval", "--method", "resnet2stage",
-            "--dataset", str(workdir["dataset"]),
-            "--weights", str(workdir["root"] / "ghost.otfsnn"), str(workdir["fine"]),
-        ]) == 4
 
     def test_weights_not_fitting_their_metadata_is_3(self, workdir, capsys):
         from otfs_sync.nn.io import save_tensors
@@ -754,15 +805,15 @@ class TestExitCodes:
         ]) == 2
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag,value", [
-        ("--batch", "0"),
-        ("--pilot-row", "99"),                   # past the 8-row grid: silently row 3
-    ])
-    def test_bad_eval_option_is_2(self, workdir, capsys, flag, value):
-        assert main([
-            "eval", "--method", "autocorr2d",
-            "--dataset", str(workdir["dataset"]), flag, value,
-        ]) == 2
+    @pytest.mark.parametrize("m_p,flags", [(4, ["--batch", "0"]), (99, [])],
+                             ids=["--batch-0", "pilot-row-99"])
+    def test_bad_eval_option_is_2(self, workdir, tmp_path, capsys, m_p, flags):
+        # a pilot row past the 8-row grid was once silently row 3
+        cfg = tmp_path / "pilot.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "pilot": {
+            "m_p": m_p, "n_p": 0, "amplitude": 2.0, "guard_halfwidth": 1}}))
+        assert main(["eval", "--method", "autocorr2d", "--dataset", str(workdir["dataset"]),
+                     "--config", str(cfg), *flags]) == 2
         captured = capsys.readouterr()
         assert "config error" in captured.err and captured.out == ""
 
@@ -815,15 +866,31 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "config error" in captured.err and captured.out == ""
 
-    def test_bad_preamble_is_2(self, workdir, tmp_path):
-        assert main([
-            "eval", "--method", "crosscorr",
-            "--dataset", str(workdir["dataset"]),
-            "--preamble-length", "16", "--preamble-root", "4",
-        ]) == 2
+    def test_bad_preamble_is_2(self, workdir, tmp_path, capsys):
+        # a preamble that cannot be built is refused wherever a config is read
+        bad = tmp_path / "p16.json"
+        bad.write_text(json.dumps({**TINY_CONFIG, "preamble": {"length": 16, "root": 4}}))
+        for method in ("crosscorr", "autocorr2d"):
+            assert main(["eval", "--method", method, "--dataset", str(workdir["dataset"]),
+                         "--config", str(bad)]) == 2
         cfg = tmp_path / "p25.json"
         cfg.write_text(json.dumps({**TINY_CONFIG, "preamble": {"length": 25, "root": 5}}))
         assert main(["complexity", "--config", str(cfg), "--repeats", "1"]) == 2
+        assert main(["complexity", "--config", str(cfg), "--no-runtime"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("config error: root") == 4
+
+    @pytest.mark.parametrize("preamble", [{"length": 16, "root": 4}, {"length": -3, "root": 4}])
+    def test_bad_preamble_is_2_before_gen_writes(self, tmp_path, capsys, preamble):
+        # before: exit 4 after a 40-byte header promising the records was
+        # written, and `info` on that file then exited 3
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "preamble": preamble}))
+        out = tmp_path / "bad.otfsds"
+        assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "config error" in capsys.readouterr().err
 
     def test_runtime_value_error_is_4(self, workdir, capsys, monkeypatch):
         import otfs_sync.metrics as metrics_mod

@@ -2,10 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from otfs_sync.channel import ChannelKind
-from otfs_sync.config import ConfigError, load_dataset_config, parse_dataset_config
+from otfs_sync.config import (ConfigError, estimator_settings, load_dataset_config,
+                              parse_dataset_config)
+from otfs_sync.frames import zadoff_chu
 
 
 class TestParsing:
@@ -68,6 +71,15 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_dataset_config({"frame": {"M": 12, "N": 8}})
 
+    @pytest.mark.parametrize("preamble,message", [
+        ({"length": 16, "root": 4}, "root 4 is not coprime with length 16"),
+        ({"length": -3, "root": 4}, "preamble length must be positive, got -3"),
+        ({"length": "16", "root": 5}, "not supported"),
+    ])
+    def test_a_preamble_that_cannot_be_built_is_config_error(self, preamble, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_dataset_config({"preamble": preamble})
+
     def test_invalid_pilot_becomes_config_error(self):
         with pytest.raises(ConfigError):
             parse_dataset_config({
@@ -92,3 +104,35 @@ class TestLoading:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             load_dataset_config(str(path))
+
+
+class TestEstimatorSettings:
+    TOY = {"frame": {"M": 32, "N": 8, "L_CP": 8},
+           "pilot": {"m_p": 5, "n_p": 1, "amplitude": 4.0, "guard_halfwidth": 2}}
+
+    def test_preamble_offset_and_pilot_row_come_from_the_config(self):
+        cfg = parse_dataset_config({**self.TOY, "preamble": {"length": 40, "root": 3}})
+        got = estimator_settings(cfg, ["crosscorr", "autocorr2d"])
+        assert np.array_equal(got.preamble, zadoff_chu(40, 3))
+        assert (got.preamble_offset, got.pilot_row) == (-48, 5)
+        assert got.coarse is got.fine is got.onestage is None
+
+    def test_no_preamble_is_refused_only_for_crosscorr(self):
+        cfg = parse_dataset_config(self.TOY)
+        got = estimator_settings(cfg, ["autocorr2d", "resnet2stage"])
+        assert got.preamble is None and got.pilot_row == 5
+        with pytest.raises(ConfigError, match="crosscorr needs a preamble"):
+            estimator_settings(cfg, ["autocorr2d", "crosscorr"])
+
+    def test_a_preamble_longer_than_the_window_is_refused_only_for_crosscorr(self):
+        cfg = parse_dataset_config({**self.TOY, "preamble": {"length": 257, "root": 3}})
+        assert estimator_settings(cfg, ["autocorr2d"]).preamble.size == 257
+        with pytest.raises(ConfigError, match="the 257-sample preamble is longer than "
+                                              "the 256-sample window"):
+            estimator_settings(cfg, ["crosscorr"])
+
+    def test_a_grid_the_classifiers_cannot_take_is_refused_only_for_them(self):
+        cfg = parse_dataset_config({"frame": {"M": 2, "N": 2, "L_CP": 1}})
+        assert estimator_settings(cfg, ["autocorr2d"]).pilot_row == 1
+        with pytest.raises(ConfigError, match="M\\*N divisible by 8, got 2x2"):
+            estimator_settings(cfg, ["resnet1stage"])

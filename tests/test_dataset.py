@@ -640,7 +640,7 @@ class TestFileFormat:
             read_dataset(path)
         assert str(path) in str(info.value)
         for argv in (["info", "--dataset", str(path)],
-                     ["eval", "--method", "crosscorr", "--dataset", str(path)]):
+                     ["eval", "--method", "resnet1stage", "--dataset", str(path)]):
             assert main(argv) == 3, argv
             assert "data format error" in capsys.readouterr().err
 

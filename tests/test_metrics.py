@@ -275,11 +275,16 @@ class TestSweep:
         assert row.accuracy == 1.0
 
 
+def _costed(M: int, length: int, **heads) -> SweepModels:
+    """What complexity_report is given: a root-25 preamble of ``length``
+    samples, pilot row M // 2 and any trained ``heads``."""
+    return SweepModels(preamble=zadoff_chu(length, 25), pilot_row=M // 2, **heads)
+
+
 class TestComplexity:
     def test_analytic_columns(self):
         frame = toy_frame_config()
-        rows = complexity_report(frame.M, frame.N, preamble=PreambleConfig(64),
-                                 measure_runtime=False)
+        rows = complexity_report(frame.M, frame.N, _costed(frame.M, 64), measure_runtime=False)
         by_method = {r.method: r for r in rows}
         assert set(by_method) == set(METHODS)
         MN = frame.M * frame.N
@@ -295,20 +300,19 @@ class TestComplexity:
         assert all(r.runtime_s is None for r in rows)
 
     def test_runtime_measured_when_asked(self):
-        rows = complexity_report(8, 4, preamble=PreambleConfig(16), repeats=3,
-                                 measure_runtime=True)
+        rows = complexity_report(8, 4, _costed(8, 16), repeats=3, measure_runtime=True)
         assert all(r.runtime_s is not None and r.runtime_s >= 0 for r in rows)
 
     def test_provided_models_are_used(self):
         coarse = build_sync_model(8, 4, "coarse")
         fine = build_sync_model(8, 4, "fine")
         one = build_sync_model(8, 4, "onestage")
-        models = SweepModels(coarse=coarse, fine=fine, onestage=one)
-        rows = complexity_report(8, 4, preamble=PreambleConfig(16), models=models, repeats=2)
+        models = _costed(8, 16, coarse=coarse, fine=fine, onestage=one)
+        rows = complexity_report(8, 4, models, repeats=2)
         assert {r.method for r in rows} == set(METHODS)
 
     def test_csv_shape(self):
-        rows = complexity_report(8, 4, preamble=PreambleConfig(16), measure_runtime=False)
+        rows = complexity_report(8, 4, _costed(8, 16), measure_runtime=False)
         lines = complexity_csv(rows).strip().split("\n")
         assert lines[0] == "method,flops,params,runtime_s"
         assert len(lines) == 5
@@ -323,7 +327,7 @@ class TestComplexity:
         monkeypatch.setattr(metrics, "build_sync_model", recording)
         tracemalloc.start()
         try:
-            rows = complexity_report(256, 64, repeats=1)
+            rows = complexity_report(256, 64, _costed(256, 256), repeats=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -336,9 +340,10 @@ class TestComplexity:
 
     def test_analytic_only_report_allocates_no_window(self):
         # a 2048x2048 timing window and its complex copy would take 96 MiB
+        models = _costed(2048, 256)
         tracemalloc.start()
         try:
-            rows = complexity_report(2048, 2048, measure_runtime=False)
+            rows = complexity_report(2048, 2048, models, measure_runtime=False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -347,8 +352,8 @@ class TestComplexity:
 
     def test_passed_head_is_timed_whatever_its_size(self, monkeypatch):
         monkeypatch.setattr(metrics, "MAX_TIMED_PARAMS", 0)
-        models = SweepModels(onestage=build_sync_model(8, 4, "onestage"))
-        rows = complexity_report(8, 4, preamble=PreambleConfig(16), models=models, repeats=1)
+        models = _costed(8, 16, onestage=build_sync_model(8, 4, "onestage"))
+        rows = complexity_report(8, 4, models, repeats=1)
         by_method = {r.method: r for r in rows}
         assert by_method["resnet1stage"].runtime_s is not None
         assert by_method["resnet2stage"].runtime_s is None
