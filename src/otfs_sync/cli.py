@@ -13,6 +13,16 @@ preamble and the autocorr2d pilot row from ``--config``, the dataset's JSON
 either method without it, crosscorr without a preamble or with one longer
 than the window, and a config whose M, N or L_CP differs from the dataset's.
 
+``eval`` reports its own cost on stderr, so the CSV on stdout stays
+parseable: one JSON line per method (``eval_method``: method, records,
+seconds, captures/s) as each finishes, then ``eval_end`` with the seconds
+the read and the split took and the MB read.
+
+``train``, ``eval`` and ``complexity`` check their output paths (``train``
+all three files) before they read anything: a directory, or a file in a
+missing or unwritable directory, is exit 2, and no file is created or
+truncated before the work succeeds.
+
 Exit codes: 0 success, 2 configuration error (a path that cannot be opened
 included), 3 data-format error, 4 runtime or training failure.
 """
@@ -20,6 +30,7 @@ included), 3 data-format error, 4 runtime or training failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -60,11 +71,31 @@ def _check_args(args: argparse.Namespace) -> None:
         raise ConfigError(f"--wd must be finite and >= 0, got {wd}")
 
 
-def _read_split(path: str, need_train: bool) -> tuple[Dataset, Dataset]:
-    """The dataset at ``path`` split 80/20 per channel into (train, test),
-    the one split every command uses.  An empty test side, or an empty
-    training side when ``need_train``, is a configuration error."""
-    train_ds, test_ds = read_dataset(path).split()
+def _check_out_paths(*paths: str) -> None:
+    """Refuse, before any work, an output path that could not be opened for
+    writing: a directory, or a file in a missing or unwritable directory.
+    An empty path (no output file) is skipped.  Nothing is created or
+    truncated here."""
+    for path in filter(None, paths):
+        parent = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            code = errno.EISDIR
+        elif not os.path.exists(parent):
+            code = errno.ENOENT
+        elif not os.path.isdir(parent):
+            code = errno.ENOTDIR
+        elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+            code = errno.EACCES
+        else:
+            continue
+        raise OSError(code, os.strerror(code), path)
+
+
+def _split(ds: Dataset, path: str, need_train: bool) -> tuple[Dataset, Dataset]:
+    """The dataset ``ds`` read from ``path`` split 80/20 per channel into
+    (train, test), the one split every command uses.  An empty test side, or
+    an empty training side when ``need_train``, is a configuration error."""
+    train_ds, test_ds = ds.split()
     if not len(test_ds) or (need_train and not len(train_ds)):
         side = "neither side" if need_train else "the test side"
         raise ConfigError(f"{path} splits into {len(train_ds)} training and {len(test_ds)} "
@@ -88,6 +119,11 @@ def _load_heads(paths: list[str], grid: tuple[int, int], load: set[str]) -> dict
             raise ConfigError(f"{path} holds a {M}x{N} model, expected {grid[0]}x{grid[1]}")
         models[head] = load_model(path)[0] if head in load else None
     return models
+
+
+def _event(name: str, **fields) -> None:
+    """One JSON line on stderr, where it stays apart from a CSV on stdout."""
+    print(json.dumps({"event": name, **fields}), file=sys.stderr, flush=True)
 
 
 def _write_out(path: str | None, csv_text: str, what: str, shown: str | None = None) -> int:
@@ -119,7 +155,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    train_ds, test_ds = _read_split(args.dataset, need_train=True)
+    out = args.out_weights
+    _check_out_paths(out, out + ".final", out + ".train.jsonl")
+    train_ds, test_ds = _split(read_dataset(args.dataset), args.dataset, need_train=True)
     hyper = TrainHyper(
         lr=args.lr,
         batch_size=args.batch,
@@ -177,13 +215,28 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if classic and not args.config:
         raise ConfigError(f"--method {' '.join(classic)} needs --config, the dataset's "
                           "configuration")
-    _, test_ds = _read_split(args.dataset, need_train=False)
+    _check_out_paths(args.out)
+    t0 = time.perf_counter()
+    ds = read_dataset(args.dataset)
+    t1 = time.perf_counter()
+    test_ds = _split(ds, args.dataset, need_train=False)[1]
+    t2 = time.perf_counter()
+    del ds  # only the test side is held while the methods run
     models = _load_models_for(args, test_ds, args.method)
-    rows = sweep(test_ds, args.method, models, args.batch)
+    rows = []
+    for method in args.method:
+        start = time.perf_counter()
+        rows += sweep(test_ds, [method], models, args.batch)
+        seconds = time.perf_counter() - start
+        _event("eval_method", method=method, records=len(test_ds), seconds=round(seconds, 6),
+               captures_per_s=round(len(test_ds) / seconds, 1))
+    _event("eval_end", read_s=round(t1 - t0, 6), split_s=round(t2 - t1, 6),
+           mb_read=round(os.path.getsize(args.dataset) / 1e6, 6))
     return _write_out(args.out, rows_to_csv(rows), f"{len(rows)} rows")
 
 
 def _cmd_complexity(args: argparse.Namespace) -> int:
+    _check_out_paths(args.out)
     cfg = load_dataset_config(args.config) if args.config else DatasetConfig()
     M, N = cfg.frame.M, cfg.frame.N
     # a config without a preamble is costed with the default one; with no

@@ -25,18 +25,28 @@ channel's realization.
 
 Generation then works a chunk of one channel's records at a time: as many
 as fit ``CHUNK_BYTES`` of DD grids, and at least one, which is 85 records
-at 32 x 8 and one at 256 x 64.  Per record there remain only the draws,
-from the record's own stream and in this order: theta, the SNR, one
-``(3, M, N)`` symbol stack, the channel and the noise (none at infinite
-SNR).  The arithmetic runs once per chunk on the stacked records: symbol
-mapping and pilots, one DD -> DT transform of the grids some record's faded
-span reaches, the column-major stream of those grids, the span cuts, the
-AWGN channel's identity fading, each row's signal power and noise scaling,
-and the float32 store straight into the chunk's slice of the record array.
-A random channel fades each record's span on its own.
-:func:`synthesize_capture` is the one-record case of the same path.  FFT
-lines and row sums are bitwise the same stacked or alone, so the bytes do
-not depend on the chunk size; they are those of format version 3.
+at 32 x 8 and one at 256 x 64.  A chunk is a channel and a run of record
+indices, and the thread that runs it does all of its work.  The chunks run
+on the calling thread and on one worker thread per further usable CPU,
+each thread with at most one chunk in flight, and come back in file order.
+A call of one chunk, a process with one usable CPU, and records of fewer
+than ``THREADED_MIN_SAMPLES`` samples (32 x 8 among them), whose time goes
+mostly to work that holds the interpreter lock, run every chunk on the
+caller and start no thread.  Nothing else sets the thread count: there is
+no option, environment variable or config field for it.
+
+Per record there remain only the draws, from the record's own stream and
+in this order: theta, the SNR, one ``(3, M, N)`` symbol stack, the channel
+and the noise (none at infinite SNR).  The arithmetic runs once per chunk
+on the stacked records: symbol mapping and pilots, one DD -> DT transform
+of the grids some record's faded span reaches, the column-major stream of
+those grids, the span cuts, the AWGN channel's identity fading, each row's
+signal power and noise scaling, and the float32 store straight into the
+chunk's slice of the record array.  A random channel fades each record's
+span on its own.  :func:`synthesize_capture` is the one-record case of the
+same path.  FFT lines and row sums are bitwise the same stacked or alone,
+and no record reads another's stream, so the bytes depend neither on the
+chunk size nor on the thread count; they are those of format version 3.
 
 Every record is generated from its own RNG stream keyed by
 (global_seed, channel_id, record_index), which makes datasets reproducible
@@ -71,12 +81,14 @@ keeps its file's version in ``format_version``.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import itertools
 import math
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Generator, Iterator
 
 import numpy as np
 
@@ -84,6 +96,7 @@ from .channel import (
     ChannelKind,
     ChannelProfile,
     PROFILES_BY_ID,
+    _identity_channel,
     apply_awgn,
     apply_fading,
     realize_channel,
@@ -92,6 +105,7 @@ from .frames import (
     DEFAULT_SAMPLE_RATE_HZ,
     FrameConfig,
     PilotConfig,
+    _grid_plan,
     build_dd_frame,
     check_zadoff_chu,
     dd_to_dt,
@@ -108,6 +122,13 @@ DEFAULT_SNR_GRID_DB = tuple(float(s) for s in range(-20, 27, 2))
 # complex128 bytes of DD grids (three per record, 48 bytes per sample) that
 # one chunk of captures may span
 CHUNK_BYTES = 1024 * 1024
+
+# window samples per record from which chunks also run on worker threads.
+# Below it a record's time goes mostly to Python-level work that holds the
+# interpreter lock (its generator, channel draw and fading call): on two
+# CPUs, two threads made 32 x 8 0.80-0.87x and 64 x 32 fading channels 0.86x
+# as fast as one, and 64 x 64, 128 x 64 and 256 x 64 1.08-1.70x as fast.
+THREADED_MIN_SAMPLES = 4096
 
 
 class DataFormatError(Exception):
@@ -322,22 +343,70 @@ def _chunk_records(MN: int) -> int:
     return max(1, CHUNK_BYTES // (48 * MN))
 
 
-def _draw_chunks(cfg: DatasetConfig) -> Iterator[tuple]:
-    """Every capture of ``cfg`` in file order, a chunk of one channel's
-    records at a time, as (channel_id, profile, snrs, thetas, rngs): each
-    record's generator with its offset and SNR already drawn from it."""
-    MN = cfg.frame.grid_size
-    rows = _chunk_records(MN)
-    grid = np.asarray(cfg.snr_grid_db, dtype=np.float64)
-    for channel_id, profile in channel_table(cfg):
-        for first in range(0, cfg.samples_per_channel, rows):
-            rngs, thetas, snrs = [], [], []
-            for i in range(first, min(first + rows, cfg.samples_per_channel)):
-                rng = per_record_rng(cfg.global_seed, channel_id, i)
-                thetas.append(int(rng.integers(-MN // 2, MN // 2)))
-                snrs.append(float(grid[rng.integers(len(grid))]))
-                rngs.append(rng)
-            yield channel_id, profile, snrs, thetas, rngs
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _fill_chunk(cfg: DatasetConfig, job: tuple[int, ChannelProfile, range],
+                out: np.ndarray) -> np.ndarray:
+    """Synthesize the records of ``job`` into the record array ``out`` and
+    return it: each record's generator draws its offset and its SNR first."""
+    channel_id, profile, records = job
+    MN, grid = cfg.frame.grid_size, cfg.snr_grid_db
+    rngs = [per_record_rng(cfg.global_seed, channel_id, i) for i in records]
+    thetas = [int(g.integers(-MN // 2, MN // 2)) for g in rngs]
+    snrs = [float(grid[g.integers(len(grid))]) for g in rngs]
+    _synthesize(cfg, profile, channel_id, snrs, thetas, rngs, out)
+    return out
+
+
+def _synthesized(cfg: DatasetConfig, recs: np.ndarray | None = None) -> Iterator[np.ndarray]:
+    """Every chunk of ``cfg``'s records in file order, synthesized into its
+    slice of the record array ``recs`` or, without ``recs``, into one buffer
+    per chunk in flight, reused once the chunk yielded has been consumed.
+
+    The chunks go in turns of T, the usable CPUs: the first of a turn runs
+    on the calling thread and each other on one of T - 1 worker threads.  A
+    call of one chunk, a process with one usable CPU and records of fewer
+    than ``THREADED_MIN_SAMPLES`` samples start no thread.  The workers are
+    joined before this returns or raises, and an exception in a chunk
+    reaches the caller."""
+    MN, spc = cfg.frame.grid_size, cfg.samples_per_channel
+    rows = min(_chunk_records(MN), spc)
+    chunks = len(cfg.channels) * -(-spc // rows)
+    threads = min(_usable_cpus(), chunks) if MN >= THREADED_MIN_SAMPLES else 1
+    buffers = [np.empty(rows, record_dtype(MN)) for _ in range(threads)] if recs is None else []
+    pool = contextlib.nullcontext()
+    if threads > 1:
+        # imported here: concurrent.futures imports logging, which would add
+        # about 6 ms to every import of the package
+        from concurrent.futures import ThreadPoolExecutor
+
+        # the AWGN channel is told by the identity of its cached realization,
+        # so every cache a chunk reads is filled before two threads can miss
+        # it together and build two equal objects
+        _grid_plan(cfg.frame, _stream_layout(cfg)[0])
+        _identity_channel(cfg.sample_rate_hz)
+        pool = ThreadPoolExecutor(threads - 1)
+    jobs = ((channel_id, profile, range(first, min(first + rows, spc)))
+            for channel_id, profile in channel_table(cfg) for first in range(0, spc, rows))
+    at = 0
+    with pool:
+        while turn := list(itertools.islice(jobs, threads)):
+            outs = []
+            for k, (_, _, records) in enumerate(turn):
+                n = len(records)
+                outs.append(buffers[k][:n] if recs is None else recs[at : at + n])
+                at += n
+            futures = [pool.submit(_fill_chunk, cfg, job, out)
+                       for job, out in zip(turn[1:], outs[1:])]
+            yield _fill_chunk(cfg, turn[0], outs[0])
+            for future in futures:
+                yield future.result()
 
 
 @dataclass
@@ -406,19 +475,18 @@ def generate_dataset(cfg: DatasetConfig) -> Dataset:
     """Materialize a whole dataset in memory (use the streaming writer for
     default-scale datasets: 90k records at M=256, N=64 is ~12 GB)."""
     recs = np.empty(cfg.record_count, dtype=record_dtype(cfg.frame.grid_size))
-    at = 0
-    for channel_id, profile, snrs, thetas, rngs in _draw_chunks(cfg):
-        _synthesize(cfg, profile, channel_id, snrs, thetas, rngs, recs[at : at + len(rngs)])
-        at += len(rngs)
+    for _ in _synthesized(cfg, recs):
+        pass
     f = cfg.frame
     return _dataset(f.M, f.N, f.L_CP, cfg.global_seed, recs)
 
 
 def _write_records(path: str, version: int, M: int, N: int, L_CP: int, count: int,
-                   global_seed: int, chunks: Iterable[np.ndarray]) -> None:
+                   global_seed: int, chunks: Generator[np.ndarray, None, None]) -> None:
     """Write the header, then each record array of ``chunks`` in turn, so
-    the writer holds one chunk, not the dataset."""
-    with open(path, "wb") as fh:
+    the writer holds the chunks in flight, not the dataset.  ``chunks`` is
+    closed on the way out, so a failed write also stops its workers."""
+    with open(path, "wb") as fh, contextlib.closing(chunks):
         fh.write(_HEADER.pack(MAGIC, version, M, N, L_CP, count, global_seed))
         for chunk in chunks:
             fh.write(chunk)
@@ -427,15 +495,8 @@ def _write_records(path: str, version: int, M: int, N: int, L_CP: int, count: in
 def write_dataset(cfg: DatasetConfig, path: str) -> int:
     """Generate and stream a dataset straight to disk; returns record count."""
     n, f = cfg.record_count, cfg.frame
-    buffer = np.empty(_chunk_records(f.grid_size), dtype=record_dtype(f.grid_size))
-
-    def chunks() -> Iterator[np.ndarray]:
-        for channel_id, profile, snrs, thetas, rngs in _draw_chunks(cfg):
-            out = buffer[: len(rngs)]
-            _synthesize(cfg, profile, channel_id, snrs, thetas, rngs, out)
-            yield out
-
-    _write_records(path, FORMAT_VERSION, f.M, f.N, f.L_CP, n, cfg.global_seed, chunks())
+    _write_records(path, FORMAT_VERSION, f.M, f.N, f.L_CP, n, cfg.global_seed,
+                   _synthesized(cfg))
     return n
 
 

@@ -638,6 +638,83 @@ class TestExitCodes:
         assert captured.out == ""
         assert not (tmp_path / "absent").exists()
 
+    @pytest.mark.parametrize("bad,argv", [
+        ("ghost", ["train", "--stage", "coarse", "--out-weights", "{ghost}"]),
+        ("root", ["train", "--stage", "coarse", "--out-weights", "{root}"]),
+        ("final", ["train", "--stage", "coarse", "--out-weights", "{base}"]),
+        ("jsonl", ["train", "--stage", "onestage", "--out-weights", "{base}"]),
+        ("ghost", ["eval", "--method", "resnet1stage", "--weights", "{onestage}",
+                   "--out", "{ghost}"]),
+        ("root", ["eval", "--method", "resnet1stage", "--weights", "{onestage}",
+                  "--out", "{root}"]),
+        ("ghost", ["complexity", "--config", "{config}", "--out", "{ghost}"]),
+        ("root", ["complexity", "--config", "{config}", "--out", "{root}"]),
+    ], ids=["train-missing-dir", "train-directory", "train-final", "train-jsonl",
+            "eval-missing-dir", "eval-directory", "complexity-missing-dir",
+            "complexity-directory"])
+    def test_an_output_path_is_2_before_any_work(self, workdir, tmp_path, capsys,
+                                                 monkeypatch, bad, argv):
+        # before: train trained every epoch and eval estimated every method,
+        # then exited 2 when the output could not be opened
+        import otfs_sync.cli as cli_mod
+        import otfs_sync.metrics as metrics_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("ran before the output path was checked")
+
+        for owner, name in ((cli_mod, "read_dataset"), (cli_mod, "train_coarse"),
+                            (cli_mod, "train_one_stage"), (cli_mod, "sweep"),
+                            (metrics_mod, "sweep"), (cli_mod, "complexity_report")):
+            monkeypatch.setattr(owner, name, never)
+        base = tmp_path / "w.otfsnn"
+        (tmp_path / "w.otfsnn.final").mkdir()
+        (tmp_path / "w.otfsnn.train.jsonl").mkdir()
+        if bad == "jsonl":
+            (tmp_path / "w.otfsnn.final").rmdir()
+        paths = {k: str(v) for k, v in workdir.items()}
+        paths.update(ghost=str(tmp_path / "absent" / "file"), base=str(base),
+                     final=f"{base}.final", jsonl=f"{base}.train.jsonl")
+        argv = [arg.format(**paths) for arg in argv]
+        if argv[0] != "complexity":
+            argv += ["--dataset", paths["dataset"]]
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: cannot open {paths[bad]}: ")
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    def test_eval_reports_its_cost_on_stderr(self, workdir, capsys):
+        from dataclasses import replace
+
+        from otfs_sync.config import estimator_settings, load_dataset_config
+        from otfs_sync.dataset import read_dataset
+        from otfs_sync.metrics import rows_to_csv, sweep
+        from otfs_sync.nn.model import load_model
+
+        methods = ["autocorr2d", "resnet1stage"]
+        assert main(["eval", "--method", *methods, "--dataset", str(workdir["dataset"]),
+                     "--weights", str(workdir["onestage"]),
+                     "--config", str(workdir["config"])]) == 0
+        captured = capsys.readouterr()
+        lines = [json.loads(line) for line in captured.err.splitlines()]
+        assert [line["event"] for line in lines] == ["eval_method", "eval_method", "eval_end"]
+        test = read_dataset(str(workdir["dataset"])).split()[1]
+        for line, method in zip(lines, methods):
+            assert set(line) == {"event", "method", "records", "seconds", "captures_per_s"}
+            assert line["method"] == method and line["records"] == len(test) == 24
+            assert line["seconds"] > 0
+            assert line["captures_per_s"] == pytest.approx(24 / line["seconds"], rel=1e-3)
+        end = lines[-1]
+        assert set(end) == {"event", "read_s", "split_s", "mb_read"}
+        assert end["read_s"] > 0 and end["split_s"] > 0
+        assert end["mb_read"] == pytest.approx(workdir["dataset"].stat().st_size / 1e6)
+        # stdout holds the sweep's CSV and nothing else
+        models = replace(estimator_settings(load_dataset_config(str(workdir["config"])),
+                                            methods),
+                         onestage=load_model(str(workdir["onestage"]))[0])
+        assert captured.out == rows_to_csv(sweep(test, methods, models))
+
     def test_empty_channel_list_is_2(self, tmp_path, capsys):
         # before: the three preset channels, 3 x samples_per_channel records
         cfg = tmp_path / "none.json"

@@ -3,6 +3,9 @@
 import hashlib
 import io
 import struct
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +19,9 @@ from otfs_sync.channel import (
     apply_fading,
     realize_channel,
 )
+import otfs_sync.channel as channel_mod
 import otfs_sync.dataset as dataset_mod
+import otfs_sync.frames as frames_mod
 from otfs_sync.dataset import (
     DEFAULT_SNR_GRID_DB,
     DataFormatError,
@@ -286,30 +291,34 @@ class TestFormatVersion3:
 ALL_CHANNELS = (AWGN_PROFILE, RAYLEIGH_PROFILE, EVA_PROFILE)
 
 
+def _file_sha(cfg, tmp_path):
+    path = tmp_path / "pin.otfsds"
+    write_dataset(cfg, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 class TestSynthesisPins:
     """Byte pins of files whose noiseless records carry the guard rows'
     exact and signed zeros, and whose streams repeat the block or start with
     a preamble, taken before the synthesis path was rewritten."""
 
-    def _sha(self, cfg, tmp_path):
-        path = tmp_path / "pin.otfsds"
-        write_dataset(cfg, path)
-        return hashlib.sha256(path.read_bytes()).hexdigest()
+    TOY_FILE = (DatasetConfig(frame=TOY, channels=ALL_CHANNELS,
+                              snr_grid_db=(float("inf"), 0.0), samples_per_channel=20,
+                              blocks_per_frame=2, preamble=PreambleConfig(length=64, root=5),
+                              global_seed=23),
+                "1141d689aaef45382536ae30743eb8405eb5fbbf9ad8f9636fc1ff6ee6795653")
+    DEFAULT_FILE = (DatasetConfig(channels=ALL_CHANNELS, snr_grid_db=(float("inf"), 10.0),
+                                  samples_per_channel=3,
+                                  preamble=PreambleConfig(length=256, root=25), global_seed=29),
+                    "5822b49c70b8e1d877b943b9b4a3e09eaeec748279bf28fde83a1a547c670416")
 
     def test_toy_two_block_preamble_file(self, tmp_path):
-        cfg = DatasetConfig(frame=TOY, channels=ALL_CHANNELS,
-                            snr_grid_db=(float("inf"), 0.0), samples_per_channel=20,
-                            blocks_per_frame=2, preamble=PreambleConfig(length=64, root=5),
-                            global_seed=23)
-        assert self._sha(cfg, tmp_path) == (
-            "1141d689aaef45382536ae30743eb8405eb5fbbf9ad8f9636fc1ff6ee6795653")
+        cfg, pin = self.TOY_FILE
+        assert _file_sha(cfg, tmp_path) == pin
 
     def test_default_preamble_file(self, tmp_path):
-        cfg = DatasetConfig(channels=ALL_CHANNELS, snr_grid_db=(float("inf"), 10.0),
-                            samples_per_channel=3,
-                            preamble=PreambleConfig(length=256, root=25), global_seed=29)
-        assert self._sha(cfg, tmp_path) == (
-            "5822b49c70b8e1d877b943b9b4a3e09eaeec748279bf28fde83a1a547c670416")
+        cfg, pin = self.DEFAULT_FILE
+        assert _file_sha(cfg, tmp_path) == pin
 
     def test_capture_regenerates_every_record(self):
         # what a reader checking one record does: redraw its labels from its
@@ -381,6 +390,132 @@ class TestChunking:
     def test_default_scale_chunk_is_one_record(self):
         assert dataset_mod._chunk_records(FrameConfig().grid_size) == 1
         assert dataset_mod._chunk_records(TOY.grid_size) >= 64
+
+
+class TestThreads:
+    """Chunks run on the caller and on a worker thread per further usable
+    CPU; the bytes must not depend on how many threads ran them."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Function forcing the usable CPUs that generation sees."""
+        return lambda n: monkeypatch.setattr(dataset_mod, "_usable_cpus", lambda: n)
+
+    @pytest.fixture
+    def thread_starts(self, monkeypatch):
+        """The list of threads started from here on."""
+        started = []
+        original = threading.Thread.start
+
+        def start(thread):
+            started.append(thread)
+            original(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        return started
+
+    @pytest.fixture
+    def short_switches(self):
+        """Switch threads every microsecond, so an unguarded race shows."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+
+    @staticmethod
+    def _shas(cfg, tmp_path):
+        written = _file_sha(cfg, tmp_path)
+        saved = tmp_path / "saved.otfsds"
+        save_dataset(generate_dataset(cfg), saved)
+        return written, hashlib.sha256(saved.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("n_cpus", [1, 2, 3])
+    @pytest.mark.parametrize("pinned", ["TOY_FILE", "DEFAULT_FILE"])
+    def test_thread_count_changes_no_byte(self, tmp_path, monkeypatch, cpus, thread_starts,
+                                          short_switches, pinned, n_cpus):
+        # 32 x 8 records are below the threading size and 20 fit one chunk:
+        # lower both, so that 9 chunks of 7 or fewer run on the threads
+        cfg, pin = getattr(TestSynthesisPins, pinned)
+        if pinned == "TOY_FILE":
+            monkeypatch.setattr(dataset_mod, "THREADED_MIN_SAMPLES", 1)
+            monkeypatch.setattr(dataset_mod, "CHUNK_BYTES", 48 * TOY.grid_size * 7)
+        cpus(n_cpus)
+        assert self._shas(cfg, tmp_path) == (pin, pin)
+        # each call starts its own workers, at most one per further CPU
+        assert 2 * (n_cpus > 1) <= len(thread_starts) <= 2 * (n_cpus - 1)
+
+    def test_cold_caches_keep_the_awgn_bytes(self, tmp_path, monkeypatch, cpus):
+        # the AWGN fading shortcut tests its realization by identity, so two
+        # threads must not build the cached one together; a slow build
+        # widens the window in which they could
+        built = channel_mod.ChannelRealization
+
+        def slow_build(*args, **kwargs):
+            time.sleep(0.02)
+            return built(*args, **kwargs)
+
+        monkeypatch.setattr(channel_mod, "ChannelRealization", slow_build)
+        cpus(3)
+        cfg = DatasetConfig(channels=(AWGN_PROFILE,), samples_per_channel=4,
+                            preamble=PreambleConfig(length=256, root=25), global_seed=11)
+        path = tmp_path / "awgn.otfsds"
+        for _ in range(4):
+            dataset_mod._stream_layout.cache_clear()
+            frames_mod._grid_plan.cache_clear()
+            channel_mod._identity_channel.cache_clear()
+            write_dataset(cfg, path)
+            _set_version(path, 2)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+                "9dd30f718a617c355fb15b7c0a7e80d6a74be919881c81c31562598dafc0dfc4")
+
+    @pytest.mark.parametrize("make", ["write", "generate"])
+    def test_a_worker_exception_reaches_the_caller(self, tmp_path, monkeypatch, cpus, make):
+        # with two threads the worker runs chunks 1, 3, 5 and 7; it fails on
+        # its second, the fourth chunk of the file
+        class ChunkFailed(Exception):
+            pass
+
+        lock, worker_calls = threading.Lock(), []
+        original = dataset_mod.apply_awgn
+
+        def apply_awgn(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                with lock:
+                    worker_calls.append(1)
+                    if len(worker_calls) == 2:
+                        raise ChunkFailed
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(dataset_mod, "apply_awgn", apply_awgn)
+        cpus(2)
+        cfg, _ = TestSynthesisPins.DEFAULT_FILE
+        threads = threading.active_count()
+        with pytest.raises(ChunkFailed):
+            if make == "write":
+                write_dataset(cfg, tmp_path / "failed.otfsds")
+            else:
+                generate_dataset(cfg)
+        assert len(worker_calls) == 2
+        assert threading.active_count() == threads
+
+    def test_one_chunk_one_cpu_and_small_records_start_no_thread(self, tmp_path, cpus,
+                                                                 thread_starts):
+        cpus(2)
+        one_chunk = DatasetConfig(channels=(EVA_PROFILE,), samples_per_channel=1,
+                                  global_seed=3)
+        write_dataset(one_chunk, tmp_path / "one.otfsds")
+        generate_dataset(one_chunk)
+        toy, _ = TestSynthesisPins.TOY_FILE  # three chunks of 32 x 8 records
+        generate_dataset(toy)
+        assert thread_starts == []
+        cpus(1)
+        generate_dataset(TestSynthesisPins.DEFAULT_FILE[0])
+        assert thread_starts == []
+        cpus(2)  # the control: nine large chunks on two CPUs start one worker
+        generate_dataset(TestSynthesisPins.DEFAULT_FILE[0])
+        assert len(thread_starts) == 1
 
 
 class TestDeterminism:
